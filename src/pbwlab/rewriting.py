@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
@@ -385,37 +385,35 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     max_word_degree and h-power up to max_h_degree.  A positive answer is a
     certificate; a negative answer only means no combination exists within
     these bounds.
+
+    The elimination is fraction-free and runs in integers: the cell
+    (word, k) is column rank(word) * (max_h_degree + 1) + k, with rank the
+    word's deglex position, so a row's deglex-largest cell is its largest
+    column and an h-shift adds to every column.  Rows are scaled to coprime
+    integers, and reducing by a pivot cross-multiplies instead of dividing,
+    so the span, and with it the answer, is exactly that of the rational
+    elimination.
     """
     target = target.with_hpoly_coeffs()
-    rows: List[Dict[Tuple[Word, int], Fraction]] = []
-    for pair in p.pairs():
-        rel = p.relation(*pair).with_hpoly_coeffs()
-        top = rel.deg_x()
-        hdeg = max(c.degree for c in rel.terms.values())
-        room = max_word_degree - top
-        if room < 0:
-            continue
-        sides = _words_up_to(p.n, room)
-        for u in sides:
-            for v in _words_up_to(p.n, room - len(u)):
-                base: Dict[Tuple[Word, int], Fraction] = {}
-                for w, c in rel.terms.items():
-                    word = u + w + v
-                    for k, q in enumerate(c.coeffs):
-                        if q:
-                            base[(word, k)] = base.get((word, k), Fraction(0)) + q
-                for shift in range(0, max_h_degree - hdeg + 1):
-                    rows.append({(w, k + shift): q for (w, k), q in base.items()})
-    pivots: Dict[Tuple[Word, int], Dict[Tuple[Word, int], Fraction]] = {}
-    for row in rows:
-        _echelon_insert(pivots, row)
-    goal: Dict[Tuple[Word, int], Fraction] = {}
     for w, c in target.terms.items():
         if len(w) > max_word_degree or c.degree > max_h_degree:
             return False
-        for k, q in enumerate(c.coeffs):
-            if q:
-                goal[(w, k)] = q
+    width = max_h_degree + 1
+    rank = {w: i for i, w in enumerate(_words_up_to(p.n, max_word_degree))}
+    pivots: Dict[int, Dict[int, int]] = {}
+    for pair in p.pairs():
+        rel = p.relation(*pair).with_hpoly_coeffs()
+        room = max_word_degree - rel.deg_x()
+        cells = _primitive_cells(rel)
+        shifts = range(width - max(k for _, k, _ in cells))
+        if room < 0 or not shifts:
+            continue
+        for u in _words_up_to(p.n, room):
+            for v in _words_up_to(p.n, room - len(u)):
+                base = {rank[u + w + v] * width + k: c for w, k, c in cells}
+                for shift in shifts:
+                    _echelon_insert(pivots, {col + shift: c for col, c in base.items()})
+    goal = {rank[w] * width + k: c for w, k, c in _primitive_cells(target)}
     return not _echelon_reduce(pivots, goal)
 
 
@@ -428,34 +426,53 @@ def _words_up_to(n: int, max_len: int) -> List[Word]:
     return out
 
 
-def _basis_key(cell: Tuple[Word, int]):
-    word, power = cell
-    return (len(word), word, power)
+def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
+    """The (word, h-power, coefficient) cells of poly, scaled to coprime integers."""
+    cells = [(w, k, q) for w, c in poly.terms.items() for k, q in enumerate(c.coeffs) if q]
+    den = lcm(*(q.denominator for _, _, q in cells))
+    ints = [q.numerator * (den // q.denominator) for _, _, q in cells]
+    content = gcd(*ints) or 1
+    return [(w, k, v // content) for (w, k, _), v in zip(cells, ints)]
 
 
-def _echelon_reduce(pivots, row):
-    row = dict(row)
+def _echelon_reduce(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, int]:
+    """Cancel the leading column of row against the pivots until none matches.
+
+    Pivots are primitive; row * (lc / g) - pivot * (f / g) with g = gcd(lc, f)
+    keeps every entry an integer, and dividing out the content after each
+    step keeps the entries small.  row may be updated in place.
+    """
     while row:
-        top = max(row, key=_basis_key)
-        pivot_row = pivots.get(top)
-        if pivot_row is None:
+        top = max(row)
+        pivot = pivots.get(top)
+        if pivot is None:
             return row
-        factor = row[top]
-        for cell, value in pivot_row.items():
-            acc = row.get(cell, Fraction(0)) - factor * value
+        f, lc = row[top], pivot[top]
+        g = gcd(f, lc)
+        a, b = lc // g, f // g
+        if a != 1:
+            row = {col: value * a for col, value in row.items()}
+        for col, value in pivot.items():
+            acc = row.get(col, 0) - b * value
             if acc:
-                row[cell] = acc
-            elif cell in row:
-                del row[cell]
+                row[col] = acc
+            else:
+                row.pop(col, None)
+        content = gcd(*row.values())
+        if content > 1:
+            row = {col: value // content for col, value in row.items()}
     return row
 
 
-def _echelon_insert(pivots, row) -> None:
+def _echelon_insert(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> None:
+    """Add row's remainder as a pivot, with a positive leading entry so that a
+    leading 1 reduces later rows without rescaling them."""
     rem = _echelon_reduce(pivots, row)
     if rem:
-        top = max(rem, key=_basis_key)
-        lc = rem[top]
-        pivots[top] = {cell: value / lc for cell, value in rem.items()}
+        top = max(rem)
+        if rem[top] < 0:
+            rem = {col: -value for col, value in rem.items()}
+        pivots[top] = rem
 
 
 # -- torsion -----------------------------------------------------------------

@@ -12,6 +12,7 @@ Everything here is immutable and hashable, so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -219,14 +220,9 @@ def _primitive_int_coeffs(p: HPoly) -> list:
     """Integer coefficient list of p divided by its rational content."""
     if not p:
         return []
-    den_lcm = 1
-    for c in p.coeffs:
-        g = _gcd_int(den_lcm, c.denominator)
-        den_lcm = den_lcm // g * c.denominator
+    den_lcm = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den_lcm) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = _gcd_int(content, abs(c))
+    content = gcd(*ints)
     return [c // content for c in ints]
 
 
@@ -251,9 +247,7 @@ def _primitive_pseudo_rem(a: list, b: list) -> list:
             a[shift + i] -= la * c
         while a and a[-1] == 0:
             a.pop()
-    content = 0
-    for c in a:
-        content = _gcd_int(content, abs(c))
+    content = gcd(*a)
     return [c // content for c in a] if content else []
 
 
@@ -277,9 +271,7 @@ def rational_roots(p: HPoly) -> list:
     if not p or p.is_constant():
         return []
     # clear denominators to get integer coefficients
-    mult = 1
-    for c in p.coeffs:
-        mult = mult * c.denominator // _gcd_int(mult, c.denominator)
+    mult = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * mult) for c in p.coeffs]
     while ints and ints[0] == 0:
         ints.pop(0)  # factor out hbar; 0 handled separately
@@ -295,12 +287,6 @@ def rational_roots(p: HPoly) -> list:
                 if p.eval(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(m: int) -> list:

@@ -86,3 +86,63 @@ def quadratic_residue_bruteforce(data: QuadData, i: int, j: int, k: int) -> NCPo
             if v2:
                 out = out + NCPoly(n, {(a, c, d): -(h2 * v2)})
     return out
+
+
+def _cell_key(cell):
+    word, power = cell
+    return (len(word), word, power)
+
+
+def _cell_echelon_reduce(pivots, row):
+    row = dict(row)
+    while row:
+        top = max(row, key=_cell_key)
+        pivot = pivots.get(top)
+        if pivot is None:
+            return row
+        factor = row[top]
+        for cell, value in pivot.items():
+            acc = row.get(cell, Fraction(0)) - factor * value
+            if acc:
+                row[cell] = acc
+            elif cell in row:
+                del row[cell]
+    return row
+
+
+def module_membership_reference(pres: Presentation, target: NCPoly, max_word_degree: int,
+                                max_h_degree: int) -> bool:
+    """Q[h]-module membership by row reduction over Q on (word, h-power) cells.
+
+    Rows are h^s * u * r * v for every relation r, with word degree at most
+    max_word_degree and h-power at most max_h_degree; the pivots are scaled
+    to a leading 1 with Fraction arithmetic.
+    """
+    pivots = {}
+    for pair in pres.pairs():
+        rel = pres.relation(*pair).with_hpoly_coeffs()
+        room = max_word_degree - rel.deg_x()
+        if room < 0:
+            continue
+        hdeg = max(c.degree for c in rel.terms.values())
+        for u in words_up_to(pres.n, room):
+            for v in words_up_to(pres.n, room - len(u)):
+                for shift in range(max_h_degree - hdeg + 1):
+                    row = {}
+                    for w, c in rel.terms.items():
+                        for k, q in enumerate(c.coeffs):
+                            if q:
+                                row[(u + w + v, k + shift)] = q
+                    rem = _cell_echelon_reduce(pivots, row)
+                    if rem:
+                        top = max(rem, key=_cell_key)
+                        lc = rem[top]
+                        pivots[top] = {cell: value / lc for cell, value in rem.items()}
+    goal = {}
+    for w, c in target.with_hpoly_coeffs().terms.items():
+        if len(w) > max_word_degree or c.degree > max_h_degree:
+            return False
+        for k, q in enumerate(c.coeffs):
+            if q:
+                goal[(w, k)] = q
+    return not _cell_echelon_reduce(pivots, goal)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+from oracles import module_membership_reference, words_up_to
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
 from pbwlab.freealg import NCPoly, specialize
@@ -177,12 +178,97 @@ class TestModuleMembership:
         T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
         assert not module_membership(strange_presentation, T, 5, 8)
 
+    def test_zero_target_is_member(self, strange_presentation):
+        assert module_membership(strange_presentation, NCPoly.zero(3), 2, 0)
+
+    def test_target_beyond_word_bound(self, strange_presentation):
+        T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
+        assert not module_membership(strange_presentation, T.scale(HPoly([1, -1])), 2, 8)
+
+    def test_target_beyond_h_bound(self, strange_presentation):
+        rel = strange_presentation.relation(1, 2)
+        assert module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 3)
+        assert not module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 2)
+
+
+_RATIONALS = [Fraction(2, 7), Fraction(-5, 3), Fraction(1, 2), Fraction(-3, 4),
+              Fraction(9, 5), Fraction(3), Fraction(-1)]
+
+
+def _random_hpoly(rng, low):
+    coeffs = [Fraction(0)] * low + [rng.choice(_RATIONALS + [Fraction(0)])
+                                    for _ in range(low, 3)]
+    return HPoly(coeffs) or HPoly.h(low)
+
+
+def _random_presentation(rng, n):
+    phi = {}
+    for pair in Presentation(n).pairs():
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2)))
+            terms[word] = _random_hpoly(rng, 1)
+        phi[pair] = NCPoly(n, terms)
+    return Presentation(n, phi)
+
+
+def _random_combination(rng, pres, max_word_degree, max_h_degree):
+    n = pres.n
+    out = NCPoly.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        rel = pres.relation(*rng.choice(pres.pairs()))
+        room = max_word_degree - rel.deg_x()
+        u = rng.choice(words_up_to(n, room))
+        v = rng.choice(words_up_to(n, room - len(u)))
+        hdeg = max(c.degree for c in rel.terms.values())
+        scalar = HPoly([Fraction(0)] * rng.randint(0, max_h_degree - hdeg)
+                       + [rng.choice(_RATIONALS)])
+        out = out + (NCPoly.word(n, u, HPoly.one()) * rel
+                     * NCPoly.word(n, v, HPoly.one())).scale(scalar)
+    return out
+
+
+def _random_target(rng, n, max_word_degree, max_h_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_word_degree)))
+        terms[word] = HPoly([rng.choice(_RATIONALS + [Fraction(0)])
+                             for _ in range(max_h_degree + 1)]) or HPoly.one()
+    return NCPoly(n, terms)
+
+
+def test_module_membership_matches_fraction_reference():
+    """Integer elimination against the independent rational one, seeded."""
+    rng = random.Random(20131)
+    answers = []
+    for case in range(160):
+        n = 2 if case % 2 else 3
+        pres = _random_presentation(rng, n)
+        max_word_degree = rng.randint(2, 4 if n == 2 else 3)
+        max_h_degree = rng.randint(2, 3)
+        combo = _random_combination(rng, pres, max_word_degree, max_h_degree)
+        target = _random_target(rng, n, max_word_degree, max_h_degree)
+        assert module_membership(pres, combo, max_word_degree, max_h_degree)
+        assert module_membership_reference(pres, combo, max_word_degree, max_h_degree)
+        got = module_membership(pres, target, max_word_degree, max_h_degree)
+        assert got == module_membership_reference(pres, target, max_word_degree,
+                                                  max_h_degree), (case, pres, target)
+        answers.append(got)
+    assert answers.count(False) > len(answers) // 2
+
 
 class TestTorsion:
     def test_witness(self, strange_presentation):
         T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
         out = torsion_check(strange_presentation, T, HPoly([1, -1]), 5)
         assert out.is_witness
+        assert out.refuting_specialization == 1
+
+    def test_witness_at_degree_six(self, strange_presentation):
+        T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
+        out = torsion_check(strange_presentation, T, HPoly([1, -1]), 6)
+        assert out.status == "witness"
+        assert out.degree_bound == 6
         assert out.refuting_specialization == 1
 
     def test_constant_factor_refuted(self, strange_presentation):
