@@ -77,10 +77,6 @@ class CyclicWord:
         return "Cycl(" + "*".join(f"x{i}" for i in self.letters) + ")"
 
 
-def cyclic_canon(word: Word, n: int) -> CyclicWord:
-    return CyclicWord(n, word)
-
-
 class Potential:
     """Finitely supported map cyclic word -> HPoly."""
 

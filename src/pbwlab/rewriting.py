@@ -10,6 +10,14 @@ generic mode every polynomial inverted while normalizing a rule is recorded,
 since its roots are the specializations at which the completed system may
 degenerate.
 
+Normal forms take words from a deglex max-heap, largest first, so each word
+is looked up against the rule leads once instead of at every step.  At h = a
+the terms are reduced in Python integers over one common denominator, against
+integer copies of the rule tails, and only the result is turned back into
+Fractions: the intermediate rules of a completion can carry coefficients of
+tens of thousands of bits, and Fraction arithmetic would pay a gcd for every
+product and sum.
+
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
 (bounded-degree exact linear algebra), while T is certified to stay outside
@@ -21,14 +29,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, deglex_key, specialize
 from .presentations import Presentation
-from .scalars import HPoly, HRat, rational_roots
+from .scalars import HPoly, HRat, clear_denominators, rational_roots
 
 TermDict = Dict[Word, object]
 
@@ -46,6 +54,7 @@ class RewriteSystem:
         self.a = a
         self.presentation = p
         self.rules: Dict[Word, TermDict] = {}
+        self._int_rules: Dict[Word, Tuple[int, List[Tuple[Word, int]]]] = {}
         self._by_len: Dict[int, set] = {}
         self.degree_bound: Optional[int] = None
         self.complete_through: Optional[int] = None
@@ -87,19 +96,26 @@ class RewriteSystem:
                 self.excluded.append(m)
 
     # -- the rule set ------------------------------------------------------
-    def _register_lead(self, lead: Word) -> None:
+    def _set_rule(self, lead: Word, tail: TermDict) -> None:
+        """Install lead -> tail; at h = a also keep the tail as an integer row
+        over its least common denominator, the form `reduce_dict` adds."""
+        self.rules[lead] = tail
         self._by_len.setdefault(len(lead), set()).add(lead)
+        if self.mode == "at":
+            den, ints = clear_denominators(tail.values())
+            self._int_rules[lead] = (den, list(zip(tail, ints)))
 
-    def _unregister_lead(self, lead: Word) -> None:
-        bucket = self._by_len.get(len(lead))
-        if bucket:
-            bucket.discard(lead)
-            if not bucket:
-                del self._by_len[len(lead)]
+    def _drop_rule(self, lead: Word) -> TermDict:
+        tail = self.rules.pop(lead)
+        self._int_rules.pop(lead, None)
+        bucket = self._by_len[len(lead)]
+        bucket.discard(lead)
+        if not bucket:
+            del self._by_len[len(lead)]
+        return tail
 
-    def _first_match(self, word: Word):
+    def _first_match(self, word: Word, lengths: List[int]):
         """Leftmost position carrying a rule lead; shortest lead at that position."""
-        lengths = sorted(self._by_len)
         wlen = len(word)
         for pos in range(wlen + 1):
             for length in lengths:
@@ -111,30 +127,66 @@ class RewriteSystem:
         return None
 
     def reduce_dict(self, terms: TermDict) -> TermDict:
-        terms = dict(terms)
-        while True:
-            best = None
-            best_hit = None
-            for w in terms:
-                if best is not None and deglex_key(w) <= deglex_key(best):
-                    continue
-                hit = self._first_match(w)
-                if hit is not None:
-                    best, best_hit = w, hit
-            if best is None:
-                return terms
+        """Normal form of a word -> coefficient dict with respect to the current rules.
+
+        Words are taken from a deglex max-heap.  A rewriting step only creates
+        words smaller than the one it rewrites, so a popped word without a
+        rule match is final, and the steps happen largest word first: the
+        leftmost, shortest match of the largest reducible word is rewritten.
+
+        At h = a the terms are held as integers over one common denominator.
+        Rewriting c * w by lead -> row / E, with g = gcd(c, E), multiplies the
+        other terms and the denominator by E / g and adds (c / g) * row, so
+        nothing is divided until the result is returned as Fractions.  Over
+        Q(h) the same steps run in HRat arithmetic.
+        """
+        at = self.mode == "at"
+        if at:
+            den, ints = clear_denominators(terms.values())
+            terms = dict(zip(terms, ints))
+        else:
+            terms = dict(terms)
+        heap = [(_worklist_key(w), w) for w in terms]
+        heapq.heapify(heap)
+        lengths = sorted(self._by_len)
+        while heap:
+            best = heapq.heappop(heap)[1]
+            if best not in terms:
+                continue
+            hit = self._first_match(best, lengths)
+            if hit is None:
+                continue
             coeff = terms.pop(best)
-            pos, lead = best_hit
+            pos, lead = hit
+            if at:
+                scale, tail = self._int_rules[lead]
+                g = gcd(coeff, scale)
+                if g != scale:
+                    mult = scale // g
+                    den *= mult
+                    for w in terms:
+                        terms[w] *= mult
+                coeff //= g
+            else:
+                tail = self.rules[lead].items()
             left, right = best[:pos], best[pos + len(lead):]
-            for tw, tc in self.rules[lead].items():
+            for tw, tc in tail:
                 word = left + tw + right
                 add = coeff * tc
                 acc = terms.get(word)
-                acc = add if acc is None else acc + add
-                if acc:
-                    terms[word] = acc
-                elif word in terms:
-                    del terms[word]
+                if acc is None:
+                    if add:
+                        terms[word] = add
+                        heapq.heappush(heap, (_worklist_key(word), word))
+                else:
+                    acc = acc + add
+                    if acc:
+                        terms[word] = acc
+                    else:
+                        del terms[word]
+        if at:
+            return {w: Fraction(v, den) for w, v in terms.items()}
+        return terms
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
@@ -156,13 +208,11 @@ class RewriteSystem:
                 tail[w] = -(c / lc)
             doomed = [u for u in self.rules if len(u) > len(lead) and _contains(u, lead)]
             for u in doomed:
-                old_tail = self.rules.pop(u)
-                self._unregister_lead(u)
+                old_tail = self._drop_rule(u)
                 requeued = {w: -c for w, c in old_tail.items()}
                 requeued[u] = self._one
                 stack.append(requeued)
-            self.rules[lead] = tail
-            self._register_lead(lead)
+            self._set_rule(lead, tail)
             if queue is not None:
                 queue.push_overlaps(lead, self.rules)
 
@@ -197,11 +247,7 @@ class RewriteSystem:
             if diff:
                 self._add_poly(diff, queue)
         for lead in list(self.rules):
-            tail = self.rules.pop(lead)
-            self._unregister_lead(lead)
-            reduced = self.reduce_dict(tail)
-            self.rules[lead] = reduced
-            self._register_lead(lead)
+            self._set_rule(lead, self.reduce_dict(self._drop_rule(lead)))
         self.degree_bound = degree
         self.complete_through = degree - 1
         return self
@@ -237,6 +283,11 @@ class RewriteSystem:
 
     def normal_word_counts(self, max_degree: int) -> List[int]:
         return [len(block) for block in self.normal_words(max_degree)]
+
+
+def _worklist_key(word: Word):
+    """Heap key that pops the deglex-largest word first."""
+    return (-len(word), tuple(-x for x in word))
 
 
 def _contains(word: Word, sub: Word) -> bool:
@@ -429,8 +480,7 @@ def _words_up_to(n: int, max_len: int) -> List[Word]:
 def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
     """The (word, h-power, coefficient) cells of poly, scaled to coprime integers."""
     cells = [(w, k, q) for w, c in poly.terms.items() for k, q in enumerate(c.coeffs) if q]
-    den = lcm(*(q.denominator for _, _, q in cells))
-    ints = [q.numerator * (den // q.denominator) for _, _, q in cells]
+    _, ints = clear_denominators(q for _, _, q in cells)
     content = gcd(*ints) or 1
     return [(w, k, v // content) for (w, k, _), v in zip(cells, ints)]
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-Rational = Fraction
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -133,12 +131,16 @@ class HPoly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return HPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return HPoly(out)
+        # convolve integer coefficient lists; one division per coefficient at the end
+        da, xs = clear_denominators(self.coeffs)
+        db, ys = clear_denominators(o.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    out[i + j] += x * y
+        den = da * db
+        return HPoly([Fraction(v, den) for v in out])
 
     __rmul__ = __mul__
 
@@ -216,12 +218,18 @@ class HPoly:
         return format_hpoly(self)
 
 
+def clear_denominators(values) -> tuple:
+    """(d, ints) with values equal to [v / d for v in ints], d the lcm of the denominators."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
 def _primitive_int_coeffs(p: HPoly) -> list:
     """Integer coefficient list of p divided by its rational content."""
     if not p:
         return []
-    den_lcm = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den_lcm) for c in p.coeffs]
+    _, ints = clear_denominators(p.coeffs)
     content = gcd(*ints)
     return [c // content for c in ints]
 
@@ -262,17 +270,11 @@ def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
     return HPoly([Fraction(c, lead) for c in ca])
 
 
-def hpoly_eval(p: HPoly, a) -> Fraction:
-    return p.eval(a)
-
-
 def rational_roots(p: HPoly) -> list:
     """All rational roots of p, via the rational root test. Empty for constants."""
     if not p or p.is_constant():
         return []
-    # clear denominators to get integer coefficients
-    mult = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * mult) for c in p.coeffs]
+    _, ints = clear_denominators(p.coeffs)
     while ints and ints[0] == 0:
         ints.pop(0)  # factor out hbar; 0 handled separately
     roots = set()

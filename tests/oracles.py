@@ -146,3 +146,51 @@ def module_membership_reference(pres: Presentation, target: NCPoly, max_word_deg
             if q:
                 goal[(w, k)] = q
     return not _cell_echelon_reduce(pivots, goal)
+
+
+def _first_lead_match(by_len, word):
+    lengths = sorted(by_len)
+    for pos in range(len(word) + 1):
+        for length in lengths:
+            if pos + length > len(word):
+                break
+            if word[pos:pos + length] in by_len[length]:
+                return pos, word[pos:pos + length]
+    return None
+
+
+def normal_form_reference(rules, terms):
+    """Normal form of a word -> coefficient dict under rules lead -> tail.
+
+    Every step rescans all terms for the deglex-largest word containing a
+    lead and rewrites it at its leftmost position, with the shortest lead
+    there, in the coefficients' own arithmetic.  New words are appended to
+    the dict and cancelled ones removed, so the key order is part of the
+    answer.
+    """
+    by_len = {}
+    for lead in rules:
+        by_len.setdefault(len(lead), set()).add(lead)
+    terms = dict(terms)
+    while True:
+        best = best_hit = None
+        for w in terms:
+            if best is not None and deglex_key(w) <= deglex_key(best):
+                continue
+            hit = _first_lead_match(by_len, w)
+            if hit is not None:
+                best, best_hit = w, hit
+        if best is None:
+            return terms
+        coeff = terms.pop(best)
+        pos, lead = best_hit
+        left, right = best[:pos], best[pos + len(lead):]
+        for tw, tc in rules[lead].items():
+            word = left + tw + right
+            add = coeff * tc
+            acc = terms.get(word)
+            acc = add if acc is None else acc + add
+            if acc:
+                terms[word] = acc
+            elif word in terms:
+                del terms[word]

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from pbwlab.cyclic import (CyclicWord, Potential, all_cuttings, cyclic_canon,
-                           cyclic_derivative, euler_pairing, potential_of,
-                           potential_to_presentation, rotate)
+from pbwlab.cyclic import (CyclicWord, Potential, all_cuttings, cyclic_derivative,
+                           euler_pairing, potential_of, potential_to_presentation,
+                           rotate)
 from pbwlab.errors import (BadIndex, EmptyCycle, NotDeformation,
                            UnsupportedArity)
 from pbwlab.freealg import NCPoly, commutator
@@ -15,13 +15,13 @@ from pbwlab.scalars import HPoly
 
 class TestCanonicalRotation:
     def test_reversed_triple(self):
-        assert cyclic_canon((3, 2, 1), 3).letters == (1, 3, 2)
+        assert CyclicWord(3, (3, 2, 1)).letters == (1, 3, 2)
 
     def test_constant_word(self):
-        assert cyclic_canon((1, 1, 1), 3).letters == (1, 1, 1)
+        assert CyclicWord(3, (1, 1, 1)).letters == (1, 1, 1)
 
     def test_periodic_word(self):
-        assert cyclic_canon((2, 1, 2, 1), 3).letters == (1, 2, 1, 2)
+        assert CyclicWord(3, (2, 1, 2, 1)).letters == (1, 2, 1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCycle):
@@ -29,7 +29,7 @@ class TestCanonicalRotation:
 
     @given(sts.nonempty_words(4, 6), st.integers(0, 5))
     def test_rotation_invariance(self, w, r):
-        assert cyclic_canon(rotate(w, r), 4) == cyclic_canon(w, 4)
+        assert CyclicWord(4, rotate(w, r)) == CyclicWord(4, w)
 
 
 class TestDerivative:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
-from pbwlab.scalars import HPoly, HRat, hpoly_eval, hpoly_gcd, rational_roots
+from pbwlab.scalars import HPoly, HRat, hpoly_gcd, rational_roots
 
 
 class TestHPolyBasics:
@@ -13,14 +14,14 @@ class TestHPolyBasics:
         assert HPoly([0, 0]).coeffs == ()
 
     def test_eval_monomial(self):
-        assert hpoly_eval(HPoly.h(), Fraction(1)) == 1
+        assert HPoly.h().eval(Fraction(1)) == 1
 
     def test_eval_one_minus_h_at_one(self):
-        assert hpoly_eval(HPoly([1, -1]), Fraction(1)) == 0
+        assert HPoly([1, -1]).eval(Fraction(1)) == 0
 
     def test_eval_mixed(self):
         # 2 + 3 h^2 at 1/2
-        assert hpoly_eval(HPoly([2, 0, 3]), Fraction(1, 2)) == Fraction(11, 4)
+        assert HPoly([2, 0, 3]).eval(Fraction(1, 2)) == Fraction(11, 4)
 
     def test_degree_and_divisibility(self):
         assert HPoly.zero().degree == -1
@@ -78,10 +79,29 @@ def test_hpoly_ring_axioms(p, q, r):
     assert p * HPoly.one() == p
 
 
+def _fraction_convolution(xs, ys):
+    out = [Fraction(0)] * max(len(xs) + len(ys) - 1, 0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@given(st.lists(sts.rationals(bound=50, max_denominator=36), max_size=6),
+       st.lists(sts.rationals(bound=50, max_denominator=36), max_size=6))
+def test_hpoly_product_matches_fraction_convolution(xs, ys):
+    p, q = HPoly(xs), HPoly(ys)
+    got = p * q
+    assert list(got.coeffs) == _fraction_convolution(p.coeffs, q.coeffs)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 @given(sts.hpolys(), sts.hpolys(), sts.rationals())
 def test_eval_is_ring_homomorphism(p, q, a):
-    assert hpoly_eval(p * q, a) == hpoly_eval(p, a) * hpoly_eval(q, a)
-    assert hpoly_eval(p + q, a) == hpoly_eval(p, a) + hpoly_eval(q, a)
+    assert (p * q).eval(a) == p.eval(a) * q.eval(a)
+    assert (p + q).eval(a) == p.eval(a) + q.eval(a)
 
 
 @settings(max_examples=60)
