@@ -3,8 +3,11 @@
 A cyclic word is a rotation-equivalence class of nonempty words, stored by
 its lexicographically minimal rotation (found with Booth's linear-time
 algorithm).  A potential is a finitely supported map from cyclic words to
-hbar polynomials.  The derivative with respect to x_i cuts the necklace at
-every occurrence of i and reads the remaining letters cyclically.
+hbar polynomials: the sparse word-polynomial core of `freealg` keyed by
+`CyclicWord`, with its sums but no product.  The derivative with respect to
+x_i cuts the necklace at every occurrence of i and reads the remaining
+letters cyclically; it and the other sums over cuts feed their terms to the
+core's one accumulate loop, `add_terms`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from fractions import Fraction
 from typing import Dict, Iterable
 
 from .errors import BadIndex, EmptyCycle, NotDeformation, UnsupportedArity
-from .freealg import NCPoly, Word, check_word, deglex_key, nc_mul
+from .freealg import (NCPoly, Word, WordPoly, add_terms, check_word, deglex_key,
+                      nc_mul)
 from .scalars import HPoly
 from . import presentations
 
@@ -77,76 +81,32 @@ class CyclicWord:
         return "Cycl(" + "*".join(f"x{i}" for i in self.letters) + ")"
 
 
-class Potential:
+class Potential(WordPoly):
     """Finitely supported map cyclic word -> HPoly."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Dict[CyclicWord, HPoly] | None = None):
-        self.n = n
-        cleaned: Dict[CyclicWord, HPoly] = {}
-        if terms:
-            for cw, coeff in terms.items():
-                if not isinstance(coeff, HPoly):
-                    coeff = HPoly.const(coeff)
-                if coeff:
-                    if cw.n != n:
-                        raise BadIndex(f"cycle over n={cw.n} in a potential over n={n}")
-                    acc = cleaned.get(cw)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc:
-                        cleaned[cw] = acc
-                    elif cw in cleaned:
-                        del cleaned[cw]
-        self.terms = cleaned
+        super().__init__(n, {cw: c if isinstance(c, HPoly) else HPoly.const(c)
+                             for cw, c in (terms or {}).items()})
 
-    @classmethod
-    def zero(cls, n: int) -> "Potential":
-        return cls(n, {})
+    def _check_word(self, cw: CyclicWord) -> None:
+        if cw.n != self.n:
+            raise BadIndex(f"cycle over n={cw.n} in a potential over n={self.n}")
+
+    @staticmethod
+    def _order(cw: CyclicWord):
+        return deglex_key(cw.letters)
 
     @classmethod
     def single(cls, n: int, letters: Iterable[int], coeff=HPoly.one()) -> "Potential":
         return cls(n, {CyclicWord(n, letters): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0].letters))
-
-    def __add__(self, other):
-        if not isinstance(other, Potential) or other.n != self.n:
-            return NotImplemented
-        merged = dict(self.terms)
-        out = Potential.zero(self.n)
-        for cw, c in other.terms.items():
-            acc = merged.get(cw)
-            acc = c if acc is None else acc + c
-            if acc:
-                merged[cw] = acc
-            elif cw in merged:
-                del merged[cw]
-        out.terms = merged
-        return out
-
-    def scale(self, scalar) -> "Potential":
-        out = Potential.zero(self.n)
-        out.terms = {cw: scalar * c for cw, c in self.terms.items() if scalar * c}
-        return out
 
     def divisible_by_h(self) -> bool:
         return all(c.divisible_by_h() for c in self.terms.values())
 
     def max_degree(self) -> int:
         return max((len(cw) for cw in self.terms), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Potential):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        return f"Potential(n={self.n}, {dict(self.sorted_terms())!r})"
 
     def __str__(self):
         if not self.terms:
@@ -158,40 +118,17 @@ def cyclic_derivative(pot: Potential, i: int) -> NCPoly:
     """Sum over occurrences of x_i: delete the letter, read on cyclically from there."""
     if not 1 <= i <= pot.n:
         raise BadIndex(f"generator {i} outside 1..{pot.n}")
-    out = NCPoly.zero(pot.n)
-    terms: Dict[Word, HPoly] = {}
-    for cw, coeff in pot.terms.items():
-        w = cw.letters
-        for pos, letter in enumerate(w):
-            if letter != i:
-                continue
-            cut = w[pos + 1:] + w[:pos]
-            acc = terms.get(cut)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                terms[cut] = acc
-            elif cut in terms:
-                del terms[cut]
-    out.terms = terms
-    return out
+    cuts = ((cw.letters[pos + 1:] + cw.letters[:pos], coeff)
+            for cw, coeff in pot.terms.items()
+            for pos, letter in enumerate(cw.letters) if letter == i)
+    return NCPoly.adopt(pot.n, add_terms({}, cuts))
 
 
 def all_cuttings(pot: Potential) -> NCPoly:
     """Sum over every cut position of every necklace of the linear word read from the cut."""
-    out = NCPoly.zero(pot.n)
-    terms: Dict[Word, HPoly] = {}
-    for cw, coeff in pot.terms.items():
-        w = cw.letters
-        for pos in range(len(w)):
-            word = rotate(w, pos)
-            acc = terms.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                terms[word] = acc
-            elif word in terms:
-                del terms[word]
-    out.terms = terms
-    return out
+    cuts = ((rotate(cw.letters, pos), coeff)
+            for cw, coeff in pot.terms.items() for pos in range(len(cw)))
+    return NCPoly.adopt(pot.n, add_terms({}, cuts))
 
 
 def euler_pairing(pot: Potential) -> NCPoly:
@@ -235,18 +172,9 @@ def potential_of(p: "presentations.Presentation") -> Potential | None:
     paired = NCPoly.zero(3)
     for (i, j), k in _PAIR_TO_COMPLEMENT.items():
         paired = paired + nc_mul(p.phi_at(i, j), NCPoly.gen(3, k, HPoly.one()))
-    candidate = Potential.zero(3)
-    acc: Dict[CyclicWord, HPoly] = {}
-    for word, coeff in paired.terms.items():
-        cw = CyclicWord(3, word)
-        scaled = coeff * Fraction(1, len(word))
-        prev = acc.get(cw)
-        prev = scaled if prev is None else prev + scaled
-        if prev:
-            acc[cw] = prev
-        elif cw in acc:
-            del acc[cw]
-    candidate.terms = acc
+    candidate = Potential.adopt(3, add_terms({}, (
+        (CyclicWord(3, word), coeff * Fraction(1, len(word)))
+        for word, coeff in paired.terms.items())))
     if not candidate.divisible_by_h():
         return None
     rebuilt = potential_to_presentation(candidate)

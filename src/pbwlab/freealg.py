@@ -1,16 +1,24 @@
-"""Words and noncommutative polynomials in the free algebra on x_1..x_n over hbar scalars.
+"""Sparse word polynomials, and the free algebra on x_1..x_n over hbar scalars.
 
-A word is a tuple of generator indices in 1..n; the empty tuple is the unit
-monomial.  An `NCPoly` maps words to coefficients and never stores zeros.
-Coefficients may be `Fraction`, `HPoly`, or `HRat`; a single polynomial keeps
-one coefficient kind throughout.  Words are ordered degree first, then
-lexicographically (deglex), which is also the deterministic iteration order.
+`WordPoly` is the one sparse core behind every polynomial type of the
+workbench: a map from words (tuples of hashable letters, or any hashable key)
+to coefficients that never stores a zero.  `add_terms` is the only place
+where terms are accumulated: a new word is appended to the dict and a
+cancelled one is deleted, so the key order of every result is fixed by the
+order of its inputs.  `nc_mul` concatenates words and serves every
+`WordPoly` whose words are tuples.
+
+An `NCPoly` is a `WordPoly` over generator indices in 1..n; the empty tuple
+is the unit monomial.  Coefficients may be `Fraction`, `HPoly`, or `HRat`; a
+single polynomial keeps one coefficient kind throughout.  Words are ordered
+degree first, then lexicographically (deglex), which is also the
+deterministic order of `sorted_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 from .errors import AmbientMismatch, BadIndex, UndefinedDegree
 from .scalars import HPoly, HRat, format_hpoly, format_rational
@@ -28,26 +36,118 @@ def check_word(word: Word, n: int) -> None:
             raise BadIndex(f"letter {letter} outside 1..{n}")
 
 
-class NCPoly:
-    """Finitely supported map from words to scalars."""
+def add_terms(terms: Dict[Hashable, object], pairs: Iterable) -> Dict[Hashable, object]:
+    """Add every (word, coeff) of pairs into terms in place and return terms.
+
+    A word not yet present is appended and a word whose sum is zero is
+    deleted; zero coefficients are never stored.
+    """
+    for word, coeff in pairs:
+        acc = terms.get(word)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            terms[word] = acc
+        elif word in terms:
+            del terms[word]
+    return terms
+
+
+class WordPoly:
+    """Finitely supported map from words to scalars over n generators.
+
+    The linear structure is shared by every subclass; operands of two
+    different subclasses do not mix, and operands over different n raise
+    `AmbientMismatch`.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[Word, object] | None = None):
+    def __init__(self, n: int, terms: Dict[Hashable, object] | None = None):
         self.n = n
-        cleaned: Dict[Word, object] = {}
+        self.terms = {}
         if terms:
             for word, coeff in terms.items():
                 if coeff:
-                    check_word(word, n)
-                    cleaned[tuple(word)] = coeff
-        self.terms = cleaned
+                    self._check_word(word)
+                    self.terms[word] = coeff
+
+    def _check_word(self, word) -> None:
+        """Reject a word that does not belong over self.n; subclasses override."""
+
+    @staticmethod
+    def _order(word):
+        return deglex_key(word)
+
+    @classmethod
+    def adopt(cls, n: int, terms: Dict[Hashable, object]):
+        """Wrap terms without copying or checking: no zero coefficient, valid words."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls.adopt(n, {})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+
+    def _check_ambient(self, other: "WordPoly") -> None:
+        if self.n != other.n:
+            raise AmbientMismatch(f"generator counts differ: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_ambient(other)
+        return self.adopt(self.n, add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self.adopt(self.n, {w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, scalar):
+        return self.adopt(self.n, {w: v for w, c in self.terms.items() if (v := scalar * c)})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, {dict(self.sorted_terms())!r})"
+
+
+def nc_mul(p: WordPoly, q: WordPoly) -> WordPoly:
+    """Bilinear extension of word concatenation, for two polynomials of one type."""
+    if type(p) is not type(q):
+        raise TypeError(f"cannot multiply {type(p).__name__} by {type(q).__name__}")
+    p._check_ambient(q)
+    return p.adopt(p.n, add_terms({}, ((wp + wq, cp * cq)
+                                       for wp, cp in p.terms.items()
+                                       for wq, cq in q.terms.items())))
+
+
+class NCPoly(WordPoly):
+    """Noncommutative polynomial: words are tuples of generator indices in 1..n."""
+
+    __slots__ = ()
+
+    def _check_word(self, word: Word) -> None:
+        check_word(word, self.n)
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls, n: int) -> "NCPoly":
-        return cls(n, {})
-
     @classmethod
     def unit(cls, n: int, one=Fraction(1)) -> "NCPoly":
         return cls(n, {(): one})
@@ -63,15 +163,6 @@ class NCPoly:
         return cls(n, {tuple(letters): coeff})
 
     # -- inspection -----------------------------------------------------
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0]))
-
     def coeff(self, word: Word):
         return self.terms.get(tuple(word), Fraction(0))
 
@@ -81,77 +172,20 @@ class NCPoly:
             raise UndefinedDegree("x-degree of the zero polynomial")
         return max(len(w) for w in self.terms)
 
-    def _check_ambient(self, other: "NCPoly"):
-        if self.n != other.n:
-            raise AmbientMismatch(f"generator counts differ: {self.n} vs {other.n}")
-
-    # -- linear structure -----------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        result = NCPoly.zero(self.n)
-        result.terms = out
-        return result
-
-    def __neg__(self):
-        result = NCPoly.zero(self.n)
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return NCPoly.zero(self.n)
-        result = NCPoly.zero(self.n)
-        terms = {}
-        for w, c in self.terms.items():
-            prod = scalar * c
-            if prod:
-                terms[w] = prod
-        result.terms = terms
-        return result
-
+    # -- products by polynomials and scalars ------------------------------
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
+        if isinstance(other, WordPoly):
             return nc_mul(self, other)
         return self.scale(other)
 
     def __rmul__(self, other):
-        if isinstance(other, NCPoly):
+        if isinstance(other, WordPoly):
             return NotImplemented
         return self.scale(other)
 
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset((w, _hashable(c)) for w, c in self.terms.items())))
-
     # -- coefficient-kind conversions -------------------------------------
     def map_coeffs(self, fn) -> "NCPoly":
-        result = NCPoly.zero(self.n)
-        terms = {}
-        for w, c in self.terms.items():
-            v = fn(c)
-            if v:
-                terms[w] = v
-        result.terms = terms
-        return result
+        return NCPoly.adopt(self.n, {w: v for w, c in self.terms.items() if (v := fn(c))})
 
     def with_hpoly_coeffs(self) -> "NCPoly":
         return self.map_coeffs(lambda c: c if isinstance(c, HPoly) else HPoly.const(c))
@@ -159,35 +193,8 @@ class NCPoly:
     def with_hrat_coeffs(self) -> "NCPoly":
         return self.map_coeffs(lambda c: c if isinstance(c, HRat) else HRat(c))
 
-    def __repr__(self):
-        return f"NCPoly(n={self.n}, {dict(self.sorted_terms())!r})"
-
     def __str__(self):
         return format_ncpoly(self)
-
-
-def _hashable(coeff):
-    return coeff if not isinstance(coeff, HPoly) else coeff.coeffs
-
-
-def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Bilinear extension of word concatenation."""
-    if p.n != q.n:
-        raise AmbientMismatch(f"generator counts differ: {p.n} vs {q.n}")
-    out: Dict[Word, object] = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
-            word = wp + wq
-            coeff = cp * cq
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-    result = NCPoly.zero(p.n)
-    result.terms = out
-    return result
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -201,16 +208,7 @@ def hbar_coefficient(p: NCPoly, k: int) -> NCPoly:
     """
     if k < 0:
         raise ValueError("negative hbar power")
-    out: Dict[Word, Fraction] = {}
-    for w, c in p.terms.items():
-        if not isinstance(c, HPoly):
-            c = HPoly.const(c)
-        v = c.coeff(k)
-        if v:
-            out[w] = v
-    result = NCPoly.zero(p.n)
-    result.terms = out
-    return result
+    return p.map_coeffs(lambda c: (c if isinstance(c, HPoly) else HPoly.const(c)).coeff(k))
 
 
 def hbar_degree(p: NCPoly) -> int:

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from .certificates import CertificateReport, ConditionReport, ObstructionReport
 from .cyclic import CyclicWord, Potential
 from .errors import InputError
-from .freealg import NCPoly
+from .freealg import NCPoly, add_terms
 from .koszul import KoszulPoly, Triple, kterm
 from .presentations import LieData, Presentation, QuadData, ValidationReport
 from .rewriting import HilbertReport, TorsionOutcome
@@ -144,13 +144,14 @@ def potential_from_json(doc, n: int | None = None) -> Potential:
         terms = doc
     if n is None:
         raise InputError("potential document needs a generator count n")
-    out = Potential.zero(n)
-    for item in terms:
-        if not isinstance(item, dict) or "cycle" not in item or "coeff" not in item:
-            raise InputError(f"bad potential term: {item!r}")
-        cycle = tuple(item["cycle"])
-        out = out + Potential(n, {CyclicWord(n, cycle): hpoly_from_json(item["coeff"])})
-    return out
+
+    def cycles():
+        for item in terms:
+            if not isinstance(item, dict) or "cycle" not in item or "coeff" not in item:
+                raise InputError(f"bad potential term: {item!r}")
+            yield CyclicWord(n, tuple(item["cycle"])), hpoly_from_json(item["coeff"])
+
+    return Potential.adopt(n, add_terms({}, cycles()))
 
 
 def potential_to_json(pot: Potential) -> dict:
@@ -192,14 +193,35 @@ def presentation_from_json(doc) -> Presentation:
     return Presentation(n, phi)
 
 
-def lie_data_from_json(doc) -> LieData:
-    n = doc.get("n")
+def _indices(value, count: int, n: int, what: str) -> Tuple[int, ...]:
+    """value as a tuple of count generator indices in 1..n (a bool is not an index)."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(i) is int and 1 <= i <= n for i in value)):
+        raise InputError(f"bad {what} {value!r}: needs {count} indices in 1..{n}")
+    return tuple(value)
+
+
+def _entry(entry, keys: Tuple[str, ...], n: int, what: str):
+    """Indices named by keys, and the rational "value", of one constructor entry."""
+    try:
+        indices, value = [entry[key] for key in keys], entry["value"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad {what} entry {entry!r}: needs fields {', '.join(keys)}, value") from exc
+    return _indices(indices, len(keys), n, f"{what} indices"), rational_from_json(value)
+
+
+def _generator_count(doc) -> int:
+    n = doc.get("n") if isinstance(doc, dict) else None
     if not isinstance(n, int) or n < 1:
         raise InputError(f"bad generator count {n!r}")
+    return n
+
+
+def lie_data_from_json(doc) -> LieData:
+    n = _generator_count(doc)
     c: Dict[Tuple[int, int, int], Fraction] = {}
     for entry in doc.get("c", []):
-        i, j, k = entry["i"], entry["j"], entry["k"]
-        value = rational_from_json(entry["value"])
+        (i, j, k), value = _entry(entry, ("i", "j", "k"), n, "structure constant")
         if i == j:
             raise InputError(f"c_{i}{i}^{k} is zero by antisymmetry and is not stored")
         if i > j:
@@ -209,13 +231,10 @@ def lie_data_from_json(doc) -> LieData:
 
 
 def quad_data_from_json(doc) -> QuadData:
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"bad generator count {n!r}")
+    n = _generator_count(doc)
     alpha: Dict[Tuple[int, int, int, int], Fraction] = {}
     for entry in doc.get("alpha", []):
-        i, j, a, b = entry["i"], entry["j"], entry["a"], entry["b"]
-        value = rational_from_json(entry["value"])
+        (i, j, a, b), value = _entry(entry, ("i", "j", "a", "b"), n, "quadratic tensor")
         if i == j:
             raise InputError(f"alpha_{i}{i} is zero by antisymmetry and is not stored")
         if i > j:
@@ -250,17 +269,21 @@ def custom_d2_from_json(doc, n: int) -> Dict[Triple, KoszulPoly]:
         raise InputError("a custom differential is a list of {triple, value} entries")
     out: Dict[Triple, KoszulPoly] = {}
     for entry in doc:
-        tri = tuple(entry["triple"])
-        if len(tri) != 3 or not all(isinstance(x, int) for x in tri):
-            raise InputError(f"bad triple {entry.get('triple')!r}")
+        if not isinstance(entry, dict) or "triple" not in entry \
+                or not isinstance(entry.get("value"), list):
+            raise InputError(f"bad custom differential entry {entry!r}: needs fields triple, value")
+        tri = _indices(entry["triple"], 3, n, "triple")
         value = KoszulPoly.zero(n)
         for term in entry["value"]:
+            if not isinstance(term, dict) or not isinstance(term.get("word"), list) \
+                    or "coeff" not in term:
+                raise InputError(f"bad custom differential term {term!r}: needs fields word, coeff")
             symbols = []
             for sym in term["word"]:
-                if "x" in sym:
-                    symbols.append(("x", sym["x"]))
-                elif "xi2" in sym:
-                    symbols.append(("xi2", sym["xi2"][0], sym["xi2"][1]))
+                if isinstance(sym, dict) and "x" in sym:
+                    symbols.append(("x", *_indices([sym["x"]], 1, n, "x index")))
+                elif isinstance(sym, dict) and "xi2" in sym:
+                    symbols.append(("xi2", *_indices(sym["xi2"], 2, n, "xi2 indices")))
                 else:
                     raise InputError(f"bad symbol {sym!r}")
             value = value + kterm(n, symbols, hpoly_from_json(term["coeff"]))

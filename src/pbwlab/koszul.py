@@ -6,6 +6,10 @@ three degrees are represented; this is exactly what the nilpotence check
 d1 . d2 = 0 consumes.  A `Differential` holds the degree (-1) images d1 and
 the degree (-2) images d2; `apply_d` extends them by the graded Leibniz rule
 with the sign (-1)^(degree of the prefix).
+
+Elements are `KoszulPoly`s: the sparse word-polynomial core of `freealg`
+with symbol tuples as letters, multiplied by the same `nc_mul` as `NCPoly`.
+`apply_d` adds each Leibniz term straight into one dict with `add_terms`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 from .errors import BadIndex, Inhomogeneous
-from .freealg import NCPoly
+from .freealg import NCPoly, WordPoly, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
 from .scalars import HPoly
 
@@ -60,31 +64,14 @@ def word_degree(word: Tuple[Symbol, ...]) -> int:
     return sum(symbol_degree(s) for s in word)
 
 
-def _word_key(word: Tuple[Symbol, ...]):
-    return (len(word), word)
+class KoszulPoly(WordPoly):
+    """Word polynomial over the symbols x_i, xi_ij, xi_ijk; one total degree per value."""
 
-
-class KoszulPoly:
-    """Finitely supported map from symbol words to scalars, one total degree per value."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Dict[Tuple[Symbol, ...], object] | None = None):
-        self.n = n
-        cleaned: Dict[Tuple[Symbol, ...], object] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    cleaned[tuple(word)] = coeff
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls, n: int) -> "KoszulPoly":
-        return cls(n, {})
+    __slots__ = ()
 
     @classmethod
     def from_ncpoly(cls, p: NCPoly) -> "KoszulPoly":
-        return cls(p.n, {tuple(("x", i) for i in w): c for w, c in p.terms.items()})
+        return cls.adopt(p.n, {tuple(("x", i) for i in w): c for w, c in p.terms.items()})
 
     def to_ncpoly(self) -> NCPoly:
         out: Dict[Tuple[int, ...], object] = {}
@@ -103,69 +90,10 @@ class KoszulPoly:
             raise Inhomogeneous(f"mixed cohomological degrees {sorted(degs)}")
         return degs.pop()
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
-
-    def __add__(self, other):
-        if not isinstance(other, KoszulPoly) or other.n != self.n:
-            return NotImplemented
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = merged.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[word] = acc
-            elif word in merged:
-                del merged[word]
-        out = KoszulPoly.zero(self.n)
-        out.terms = merged
-        return out
-
-    def __neg__(self):
-        out = KoszulPoly.zero(self.n)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, KoszulPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar) -> "KoszulPoly":
-        if not scalar:
-            return KoszulPoly.zero(self.n)
-        out = KoszulPoly.zero(self.n)
-        out.terms = {w: v for w, c in self.terms.items() if (v := scalar * c)}
-        return out
-
     def __mul__(self, other):
-        if not isinstance(other, KoszulPoly) or other.n != self.n:
+        if not isinstance(other, WordPoly):
             return NotImplemented
-        out: Dict[Tuple[Symbol, ...], object] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = wa + wb
-                coeff = ca * cb
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-        result = KoszulPoly.zero(self.n)
-        result.terms = out
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, KoszulPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        return f"KoszulPoly(n={self.n}, {dict(self.sorted_terms())!r})"
+        return nc_mul(self, other)
 
     def __str__(self):
         if not self.terms:
@@ -304,7 +232,7 @@ def apply_d(diff: Differential, p: KoszulPoly):
         return KoszulPoly.zero(p.n)
     if deg not in (-1, -2):
         raise Inhomogeneous(f"apply_d expects degree -1 or -2, got {deg}")
-    result = KoszulPoly.zero(p.n)
+    terms: Dict[Tuple[Symbol, ...], object] = {}
     for word, coeff in p.terms.items():
         sign = 1
         for pos, sym in enumerate(word):
@@ -314,12 +242,12 @@ def apply_d(diff: Differential, p: KoszulPoly):
                 image = KoszulPoly.from_ncpoly(diff.d1[(sym[1], sym[2])])
             else:
                 image = diff.d2[(sym[1], sym[2], sym[3])]
-            prefix = KoszulPoly(p.n, {word[:pos]: coeff * sign})
-            suffix = KoszulPoly(p.n, {word[pos + 1:]: 1})
-            result = result + prefix * image * suffix
+            left, right, scaled = word[:pos], word[pos + 1:], coeff * sign
+            add_terms(terms, ((left + iw + right, scaled * ic) for iw, ic in image.terms.items()))
             # crossing this symbol flips the sign iff its degree is odd
             if symbol_degree(sym) % 2 != 0:
                 sign = -sign
+    result = KoszulPoly.adopt(p.n, terms)
     if deg == -1:
         return result.to_ncpoly()
     return result

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
-from .freealg import NCPoly, Word, deglex_key, specialize
+from .freealg import NCPoly, Word, add_terms, deglex_key, specialize
 from .presentations import Presentation
 from .scalars import HPoly, HRat, clear_denominators, rational_roots
 
@@ -190,9 +190,7 @@ class RewriteSystem:
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
-        out = NCPoly.zero(self.n)
-        out.terms = self.reduce_dict(self._field_poly(p))
-        return out
+        return NCPoly.adopt(self.n, self.reduce_dict(self._field_poly(p)))
 
     def _add_poly(self, poly: TermDict, queue) -> None:
         stack = [poly]
@@ -238,11 +236,8 @@ class RewriteSystem:
             # overlap word: left followed by the unmatched part of right
             suffix = right[k:]
             prefix = left[:len(left) - k]
-            p1: TermDict = {}
-            for tw, tc in self.rules[left].items():
-                _accumulate(p1, tw + suffix, tc)
-            for tw, tc in self.rules[right].items():
-                _accumulate(p1, prefix + tw, -tc)
+            p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in self.rules[left].items()))
+            add_terms(p1, ((prefix + tw, -tc) for tw, tc in self.rules[right].items()))
             diff = self.reduce_dict(p1)
             if diff:
                 self._add_poly(diff, queue)
@@ -293,15 +288,6 @@ def _worklist_key(word: Word):
 def _contains(word: Word, sub: Word) -> bool:
     ls = len(sub)
     return any(word[pos:pos + ls] == sub for pos in range(len(word) - ls + 1))
-
-
-def _accumulate(terms: TermDict, word: Word, coeff) -> None:
-    acc = terms.get(word)
-    acc = coeff if acc is None else acc + coeff
-    if acc:
-        terms[word] = acc
-    elif word in terms:
-        del terms[word]
 
 
 class _AmbiguityQueue:

@@ -1,8 +1,9 @@
 """Independent oracles used against the library implementations.
 
 Nothing here calls the rewriting or certificate machinery: dimensions come
-from exact row reduction of explicit relation multiples, and residue
-expansions from direct index summation.  Disagreement with the library is a
+from exact row reduction of explicit relation multiples, residue
+expansions from direct index summation, and differentials of Koszul words
+from plain dict products.  Disagreement with the library is a
 build failure, not a tolerance question.
 """
 
@@ -194,3 +195,51 @@ def normal_form_reference(rules, terms):
                 terms[word] = acc
             elif word in terms:
                 del terms[word]
+
+
+def _accumulate(terms, word, coeff):
+    acc = terms.get(word)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[word] = acc
+    elif word in terms:
+        del terms[word]
+
+
+def _word_product(p, q):
+    """Concatenation product of two word -> coefficient dicts."""
+    out = {}
+    for wp, cp in p.items():
+        for wq, cq in q.items():
+            _accumulate(out, wp + wq, cp * cq)
+    return out
+
+
+def apply_d_reference(diff, terms):
+    """Graded Leibniz extension of a differential on a symbol-word -> coefficient dict.
+
+    Every xi symbol of every word is replaced by its image as the product
+    prefix * image * suffix, which is then added into a copy of the result
+    so far; crossing an xi2 symbol flips the sign.  Images of xi2 are read
+    from diff.d1 with each letter i renamed to ("x", i).  Returns the raw
+    dict over symbol words, whose key order is part of the answer.
+    """
+    result = {}
+    for word, coeff in terms.items():
+        sign = 1
+        for pos, sym in enumerate(word):
+            if sym[0] == "x":
+                continue
+            if sym[0] == "xi2":
+                image = {tuple(("x", i) for i in w): c
+                         for w, c in diff.d1[sym[1:]].terms.items()}
+            else:
+                image = diff.d2[sym[1:]].terms
+            product = _word_product(_word_product({word[:pos]: coeff * sign}, image),
+                                    {word[pos + 1:]: 1})
+            result = dict(result)
+            for w, c in product.items():
+                _accumulate(result, w, c)
+            if sym[0] == "xi2":
+                sign = -sign
+    return result

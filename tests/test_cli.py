@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ STRANGE = {"potential": {"n": 3, "terms": [{"cycle": [3, 2, 1], "coeff": ["0", "
 NON_JACOBI = {"lie": {"n": 3, "c": [
     {"i": 1, "j": 2, "k": 1, "value": "1"},
     {"i": 1, "j": 3, "k": 2, "value": "1"}]}}
+
+REPO = Path(__file__).resolve().parent.parent
+FROZEN = json.loads((REPO / "benchmarks" / "corpus" / "cli_expected.json").read_text())
 
 TORSION_T = [{"word": [3, 2, 1], "coeff": ["-1"]}, {"word": [1, 3, 2], "coeff": ["1"]}]
 
@@ -212,3 +216,57 @@ class TestContracts:
         code = main(["hilbert", "--input", "x.json", "--degree", "3"])
         capsys.readouterr()
         assert code == 3  # neither --at nor --generic
+
+
+class TestMalformedInput:
+    """Malformed documents are input errors (exit 3), never internal ones."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"lie": {"n": 3, "c": [{"i": 1, "j": 2, "k": 3}]}},
+         "needs fields i, j, k, value"),
+        ({"lie": {"n": 3, "c": [{"i": "1", "j": 2, "k": 3, "value": "1"}]}},
+         "bad structure constant indices ['1', 2, 3]"),
+        ({"quadratic": {"n": 3, "alpha": [{"i": 1, "j": 2, "a": 1, "value": "1"}]}},
+         "needs fields i, j, a, b, value"),
+        ({"quadratic": {"n": 3, "alpha": [{"i": 1, "j": 2, "a": 1.5, "b": 1,
+                                           "value": "1"}]}},
+         "bad quadratic tensor indices [1, 2, 1.5, 1]"),
+    ], ids=["lie-missing-value", "lie-string-index", "quadratic-missing-b",
+            "quadratic-float-index"])
+    def test_constructor_entry(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 3
+        assert "input error" in err and message in err
+
+    @pytest.mark.parametrize("d2_doc, message", [
+        ([{"value": []}], "needs fields triple, value"),
+        ([{"triple": [1, 2, 3], "value": [{"coeff": ["1"]}]}], "needs fields word, coeff"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"xi2": [1]}], "coeff": ["1"]}]}],
+         "bad xi2 indices [1]"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"xi2": [1, 7]}], "coeff": ["1"]}]}],
+         "bad xi2 indices [1, 7]"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 7}, {"xi2": [1, 2]}],
+                                           "coeff": ["1"]}]}],
+         "bad x index [7]"),
+        ([{"triple": [1, 2, 7], "value": []}], "bad triple [1, 2, 7]"),
+    ], ids=["no-triple", "no-word", "short-xi2", "xi2-out-of-range", "x-out-of-range",
+            "triple-out-of-range"])
+    def test_custom_differential(self, capsys, sl2_file, tmp_path, d2_doc, message):
+        d2_file = tmp_path / "d2.json"
+        d2_file.write_text(json.dumps(d2_doc))
+        code, _, err = run_cli(capsys, "certify", "--input", sl2_file,
+                               "--d2", "custom", "--d2-file", str(d2_file))
+        assert code == 3
+        assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("entry", [e for entries in FROZEN.values() for e in entries],
+                         ids=lambda e: e["name"])
+def test_frozen_reports_replay_byte_identically(capsys, monkeypatch, entry):
+    """The benchmark corpus's frozen CLI reports, exit codes included."""
+    monkeypatch.chdir(REPO)
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out == entry["stdout"]

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
+from pbwlab.cyclic import Potential
 from pbwlab.errors import AmbientMismatch, UndefinedDegree
 from pbwlab.freealg import (NCPoly, commutator, hbar_coefficient, nc_mul,
                             specialize)
+from pbwlab.koszul import KoszulPoly
 from pbwlab.scalars import HPoly
 
 
@@ -127,3 +130,57 @@ def test_sorted_terms_deglex():
     p = NCPoly(2, {(2,): HPoly.one(), (1, 1): HPoly.one(), (1,): HPoly.one(),
                    (): HPoly.one()})
     assert [w for w, _ in p.sorted_terms()] == [(), (1,), (2,), (1, 1)]
+
+
+CORE_TYPES = {
+    "NCPoly": sts.ncpolys(3),
+    "KoszulPoly": sts.ncpolys(3).map(KoszulPoly.from_ncpoly),
+    "Potential": sts.potentials(3),
+}
+
+
+@pytest.mark.parametrize("kind", list(CORE_TYPES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_core_linear_structure(kind, data):
+    p = data.draw(CORE_TYPES[kind])
+    q = data.draw(CORE_TYPES[kind])
+    scalar = data.draw(sts.hpolys(max_degree=1))
+    assert not (p + (-p)).terms
+    assert (p + q) - q == p
+    for r in (p, p + q, p - q, q - p, -p, p.scale(scalar), (p + q) - p):
+        assert type(r) is type(p) and r.n == p.n
+        assert all(r.terms.values())
+
+
+@given(sts.ncpolys(3), sts.ncpolys(3))
+def test_from_ncpoly_respects_sum_and_product(p, q):
+    k = KoszulPoly.from_ncpoly
+    assert k(p + q) == k(p) + k(q)
+    assert k(p * q) == k(p) * k(q)
+    assert k(p).to_ncpoly() == p
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: NCPoly.gen(n, 1, HPoly.one()),
+    lambda n: KoszulPoly.from_ncpoly(NCPoly.gen(n, 1, HPoly.one())),
+    lambda n: Potential.single(n, (1, 1)),
+], ids=list(CORE_TYPES))
+def test_mismatched_ambient_raises(make):
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(AmbientMismatch):
+            op(make(2), make(3))
+    if not isinstance(make(2), Potential):
+        with pytest.raises(AmbientMismatch):
+            make(2) * make(3)
+
+
+def test_mixing_types_is_a_type_error():
+    p = NCPoly.gen(3, 1, HPoly.one())
+    k = KoszulPoly.from_ncpoly(p)
+    pot = Potential.single(3, (1, 2))
+    for a, b in ((p, k), (k, p), (p, pot), (pot, k)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a * b

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+from oracles import apply_d_reference
+from pbwlab.cyclic import Potential, potential_to_presentation
 from pbwlab.errors import Inhomogeneous
 from pbwlab.freealg import NCPoly, commutator
 from pbwlab.koszul import (Differential, KoszulPoly, apply_d, d1_from_presentation,
                            d2_default, d2_lie, d2_quadratic, kterm, triples,
                            xi2, xi3, xi3_generator)
-from pbwlab.presentations import LieData, Presentation, QuadData, from_lie
+from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
+                                  from_quadratic)
 from pbwlab.scalars import HPoly
 
 
@@ -227,3 +231,60 @@ def test_cyclic_orbit_orientation_irrelevant(sl2, multiparameter_quantum):
         return out
 
     assert reverse_orbit_quadratic(multiparameter_quantum) == d2_quadratic(multiparameter_quantum)
+
+
+_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _random_differential(rng, kind):
+    """A differential of a random Lie, quadratic or potential presentation."""
+    n = rng.choice([3, 4]) if kind != "potential" else 3
+    if kind == "lie":
+        c = {}
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            c[(i, j, rng.randint(1, n))] = rng.choice(_COEFFS)
+        data = LieData(n, c)
+        p, d2 = from_lie(data), d2_lie(data)
+    elif kind == "quadratic":
+        alpha = {}
+        for _ in range(rng.randint(1, 4)):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            alpha[(i, j, rng.randint(1, n), rng.randint(1, n))] = rng.choice(_COEFFS)
+        data = QuadData(n, alpha)
+        p, d2 = from_quadratic(data), d2_quadratic(data)
+    else:
+        pot = Potential.zero(3)
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+            pot = pot + Potential.single(3, word, HPoly.h() * rng.choice(_COEFFS))
+        p, d2 = potential_to_presentation(pot), d2_default(3)
+    return Differential(n, d1_from_presentation(p), d2)
+
+
+def test_apply_d_matches_product_reference():
+    """apply_d against the prefix * image * suffix expansion, seeded: the same
+    values in the same key order, on d2 values, xi3 words and two-xi2 words."""
+    rng = random.Random(20134)
+    cases = 0
+    for kind in ("lie", "quadratic", "potential") * 8:
+        diff = _random_differential(rng, kind)
+        n = diff.n
+        inputs = []
+        for tri in triples(n):
+            a, b = rng.randint(1, n), rng.randint(1, n)
+            inputs.append(diff.d2[tri])
+            inputs.append(kterm(n, [("x", a)]) * diff.d2[tri] * kterm(n, [("x", b)]))
+            inputs.append(kterm(n, [("x", a), ("xi3", *tri), ("x", b)], HPoly([1, -2])))
+        for _ in range(3):
+            s, t, u, v = (rng.randint(1, n) for _ in range(4))
+            inputs.append(kterm(n, [("xi2", s, t), ("x", rng.randint(1, n)), ("xi2", u, v)])
+                          + kterm(n, [("x", s), ("xi2", u, v), ("xi2", t, s)], HPoly.h()))
+        for word in inputs:
+            got = apply_d(diff, word)
+            expected = list(apply_d_reference(diff, word.terms).items())
+            if word.degree() == -1:
+                expected = [(tuple(sym[1] for sym in w), c) for w, c in expected]
+            assert list(got.terms.items()) == expected, (kind, word)
+            cases += 1
+    assert cases >= 200
