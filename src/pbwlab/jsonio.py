@@ -118,15 +118,17 @@ def parse_hpoly_string(text: str) -> HPoly:
 def ncpoly_from_json(value, n: int) -> NCPoly:
     if not isinstance(value, list):
         raise InputError("an NCPoly must be a list of terms")
-    out = NCPoly.zero(n)
-    for item in value:
-        if not isinstance(item, dict) or "word" not in item or "coeff" not in item:
-            raise InputError(f"bad NCPoly term: {item!r}")
-        word = tuple(item["word"])
-        if not all(isinstance(x, int) for x in word):
-            raise InputError(f"bad word {item['word']!r}")
-        out = out + NCPoly(n, {word: hpoly_from_json(item["coeff"])})
-    return out
+
+    def terms():
+        for item in value:
+            if not isinstance(item, dict) or "word" not in item or "coeff" not in item:
+                raise InputError(f"bad NCPoly term: {item!r}")
+            word = item["word"]
+            if not (isinstance(word, list) and all(type(x) is int and 1 <= x <= n for x in word)):
+                raise InputError(f"bad word {word!r}: needs letters in 1..{n}")
+            yield tuple(word), hpoly_from_json(item["coeff"])
+
+    return NCPoly.adopt(n, add_terms({}, terms()))
 
 
 def ncpoly_to_json(p: NCPoly) -> List[dict]:
@@ -144,6 +146,7 @@ def potential_from_json(doc, n: int | None = None) -> Potential:
         terms = doc
     if n is None:
         raise InputError("potential document needs a generator count n")
+    n = _generator_count(n)
 
     def cycles():
         for item in terms:
@@ -176,14 +179,12 @@ def presentation_from_json(doc) -> Presentation:
     if "n" not in doc or "phi" not in doc:
         raise InputError("presentation document needs fields n and phi "
                          "(or a lie/quadratic/potential wrapper)")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"bad generator count {n!r}")
+    n = _generator_count(doc["n"])
     phi: Dict[Tuple[int, int], NCPoly] = {}
     for entry in doc["phi"]:
         if not isinstance(entry, dict) or not {"i", "j", "terms"} <= set(entry):
             raise InputError(f"bad phi entry: {entry!r}")
-        i, j = entry["i"], entry["j"]
+        i, j = _indices([entry["i"], entry["j"]], 2, n, "phi indices")
         poly = ncpoly_from_json(entry["terms"], n)
         if i == j:
             raise InputError(f"phi_{i}{i} must be zero and is not stored")
@@ -210,15 +211,15 @@ def _entry(entry, keys: Tuple[str, ...], n: int, what: str):
     return _indices(indices, len(keys), n, f"{what} indices"), rational_from_json(value)
 
 
-def _generator_count(doc) -> int:
-    n = doc.get("n") if isinstance(doc, dict) else None
-    if not isinstance(n, int) or n < 1:
+def _generator_count(n) -> int:
+    """n as a generator count, a positive integer (a bool is not one)."""
+    if type(n) is not int or n < 1:
         raise InputError(f"bad generator count {n!r}")
     return n
 
 
 def lie_data_from_json(doc) -> LieData:
-    n = _generator_count(doc)
+    n = _generator_count(doc.get("n") if isinstance(doc, dict) else None)
     c: Dict[Tuple[int, int, int], Fraction] = {}
     for entry in doc.get("c", []):
         (i, j, k), value = _entry(entry, ("i", "j", "k"), n, "structure constant")
@@ -231,7 +232,7 @@ def lie_data_from_json(doc) -> LieData:
 
 
 def quad_data_from_json(doc) -> QuadData:
-    n = _generator_count(doc)
+    n = _generator_count(doc.get("n") if isinstance(doc, dict) else None)
     alpha: Dict[Tuple[int, int, int, int], Fraction] = {}
     for entry in doc.get("alpha", []):
         (i, j, a, b), value = _entry(entry, ("i", "j", "a", "b"), n, "quadratic tensor")

@@ -11,12 +11,13 @@ since its roots are the specializations at which the completed system may
 degenerate.
 
 Normal forms take words from a deglex max-heap, largest first, so each word
-is looked up against the rule leads once instead of at every step.  At h = a
-the terms are reduced in Python integers over one common denominator, against
-integer copies of the rule tails, and only the result is turned back into
-Fractions: the intermediate rules of a completion can carry coefficients of
-tens of thousands of bits, and Fraction arithmetic would pay a gcd for every
-product and sum.
+is looked up against the rule leads once instead of at every step.  Both
+modes reduce fraction-free, in the ring whose field of fractions holds the
+coefficients: Python integers at h = a, HPoly over Q(h).  The terms sit over
+one common denominator, the rule tails are kept as rows over their own, and
+only the result is turned back into Fractions or HRats: the intermediate
+rules of a completion can carry coefficients of tens of thousands of bits,
+and field arithmetic would pay a gcd for every product and sum.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -36,7 +37,8 @@ from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, add_terms, deglex_key, specialize
 from .presentations import Presentation
-from .scalars import HPoly, HRat, clear_denominators, rational_roots
+from .scalars import (HPoly, HRat, clear_denominators, clear_hrat_denominators,
+                      hpoly_gcd, rational_roots)
 
 TermDict = Dict[Word, object]
 
@@ -54,37 +56,25 @@ class RewriteSystem:
         self.a = a
         self.presentation = p
         self.rules: Dict[Word, TermDict] = {}
-        self._int_rules: Dict[Word, Tuple[int, List[Tuple[Word, int]]]] = {}
+        self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
         self.degree_bound: Optional[int] = None
         self.complete_through: Optional[int] = None
         self.excluded: List[HPoly] = []
-        self._one = Fraction(1) if mode == "at" else HRat.one()
         self._resolved: set = set()
+        # the ring reduce_dict works in and its field of fractions: Z in Q at h = a,
+        # Q[h] in Q(h) generically
+        if mode == "at":
+            self._unit, self._gcd, self._clear = 1, gcd, clear_denominators
+            self._field, self._field_poly = Fraction, lambda poly: specialize(poly, a).terms
+        else:
+            self._unit, self._gcd, self._clear = HPoly.one(), hpoly_gcd, clear_hrat_denominators
+            self._field, self._field_poly = HRat, lambda poly: poly.with_hrat_coeffs().terms
         for pair in p.pairs():
-            raw = p.relation(*pair)
-            rel = self._field_poly(raw)
+            rel = self._field_poly(p.relation(*pair))
             if not rel:
                 raise BadSpecialization(pair, a)
             self._add_poly(rel, queue=None)
-
-    # -- coefficient plumbing --------------------------------------------
-    def _field_coeff(self, c):
-        if self.mode == "at":
-            if isinstance(c, (HPoly, HRat)):
-                return c.eval(self.a)
-            return Fraction(c)
-        if isinstance(c, HRat):
-            return c
-        return HRat(c if isinstance(c, HPoly) else HPoly.const(c))
-
-    def _field_poly(self, p: NCPoly) -> TermDict:
-        out: TermDict = {}
-        for w, c in p.terms.items():
-            v = self._field_coeff(c)
-            if v:
-                out[w] = v
-        return out
 
     def _note_inversion(self, c) -> None:
         if self.mode != "generic":
@@ -97,17 +87,16 @@ class RewriteSystem:
 
     # -- the rule set ------------------------------------------------------
     def _set_rule(self, lead: Word, tail: TermDict) -> None:
-        """Install lead -> tail; at h = a also keep the tail as an integer row
-        over its least common denominator, the form `reduce_dict` adds."""
+        """Install lead -> tail, and keep the tail as a row over the ring with
+        its least common denominator, the form `reduce_dict` adds."""
         self.rules[lead] = tail
         self._by_len.setdefault(len(lead), set()).add(lead)
-        if self.mode == "at":
-            den, ints = clear_denominators(tail.values())
-            self._int_rules[lead] = (den, list(zip(tail, ints)))
+        den, nums = self._clear(tail.values())
+        self._rows[lead] = (den, list(zip(tail, nums)))
 
     def _drop_rule(self, lead: Word) -> TermDict:
         tail = self.rules.pop(lead)
-        self._int_rules.pop(lead, None)
+        del self._rows[lead]
         bucket = self._by_len[len(lead)]
         bucket.discard(lead)
         if not bucket:
@@ -134,18 +123,15 @@ class RewriteSystem:
         rule match is final, and the steps happen largest word first: the
         leftmost, shortest match of the largest reducible word is rewritten.
 
-        At h = a the terms are held as integers over one common denominator.
-        Rewriting c * w by lead -> row / E, with g = gcd(c, E), multiplies the
-        other terms and the denominator by E / g and adds (c / g) * row, so
-        nothing is divided until the result is returned as Fractions.  Over
-        Q(h) the same steps run in HRat arithmetic.
+        The terms are held over the ring, Z at h = a and Q[h] over Q(h), with
+        one common denominator.  Rewriting c * w by lead -> row / E, with
+        g = gcd(c, E), multiplies the other terms and the denominator by E / g
+        and adds (c / g) * row, so nothing is divided until the result is
+        returned as Fractions or HRats.  A rule row with E = 1 costs no gcd.
         """
-        at = self.mode == "at"
-        if at:
-            den, ints = clear_denominators(terms.values())
-            terms = dict(zip(terms, ints))
-        else:
-            terms = dict(terms)
+        one, gcd_ = self._unit, self._gcd
+        den, nums = self._clear(terms.values())
+        terms = dict(zip(terms, nums))
         heap = [(_worklist_key(w), w) for w in terms]
         heapq.heapify(heap)
         lengths = sorted(self._by_len)
@@ -158,17 +144,16 @@ class RewriteSystem:
                 continue
             coeff = terms.pop(best)
             pos, lead = hit
-            if at:
-                scale, tail = self._int_rules[lead]
-                g = gcd(coeff, scale)
+            scale, tail = self._rows[lead]
+            if scale != one:
+                g = gcd_(coeff, scale)
                 if g != scale:
                     mult = scale // g
                     den *= mult
                     for w in terms:
                         terms[w] *= mult
-                coeff //= g
-            else:
-                tail = self.rules[lead].items()
+                if g != one:
+                    coeff //= g
             left, right = best[:pos], best[pos + len(lead):]
             for tw, tc in tail:
                 word = left + tw + right
@@ -184,9 +169,7 @@ class RewriteSystem:
                         terms[word] = acc
                     else:
                         del terms[word]
-        if at:
-            return {w: Fraction(v, den) for w, v in terms.items()}
-        return terms
+        return {w: self._field(v, den) for w, v in terms.items()}
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
@@ -208,7 +191,7 @@ class RewriteSystem:
             for u in doomed:
                 old_tail = self._drop_rule(u)
                 requeued = {w: -c for w, c in old_tail.items()}
-                requeued[u] = self._one
+                requeued[u] = self._field(1)
                 stack.append(requeued)
             self._set_rule(lead, tail)
             if queue is not None:
@@ -238,9 +221,8 @@ class RewriteSystem:
             prefix = left[:len(left) - k]
             p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in self.rules[left].items()))
             add_terms(p1, ((prefix + tw, -tc) for tw, tc in self.rules[right].items()))
-            diff = self.reduce_dict(p1)
-            if diff:
-                self._add_poly(diff, queue)
+            if p1:
+                self._add_poly(p1, queue)
         for lead in list(self.rules):
             self._set_rule(lead, self.reduce_dict(self._drop_rule(lead)))
         self.degree_bound = degree
@@ -372,7 +354,7 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
     if not generic and a is None:
         raise InputError("either a specialization value or generic mode is required")
     mode = "generic" if generic else "at"
-    system = build_rules(p, "generic") if generic else build_rules(p, "at", a)
+    system = build_rules(p, mode, a)
     depth = K + 1
     system.complete(depth)
     dims = system.normal_word_counts(K)

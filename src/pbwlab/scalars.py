@@ -4,7 +4,8 @@ Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
 `HPoly` is a univariate polynomial in hbar over the rationals, stored as a
 coefficient tuple lowest power first with trailing zeros stripped.  `HRat`
 is the fraction field of `HPoly`, kept in canonical form: numerator and
-denominator coprime, denominator monic and nonzero.
+denominator coprime, denominator monic and nonzero.  `clear_denominators` and
+`clear_hrat_denominators` put values of Q and Q(h) over one denominator in Z and Q[h].
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -178,7 +179,8 @@ class HPoly:
                 rem[shift + i] -= factor * c
         return HPoly(quo), HPoly(rem)
 
-    def exact_div(self, other) -> "HPoly":
+    def __floordiv__(self, other) -> "HPoly":
+        """Exact quotient; ValueError when other does not divide self."""
         q, r = divmod(self, other)
         if r:
             raise ValueError("inexact polynomial division")
@@ -270,6 +272,18 @@ def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
     return HPoly([Fraction(c, lead) for c in ca])
 
 
+def clear_hrat_denominators(values) -> tuple:
+    """(d, nums) with values equal to [HRat(v, d) for v in nums], d the monic lcm of the
+    denominators.  A denominator of 1, or equal to the running d, costs no gcd or division."""
+    values = list(values)
+    den = HPoly.one()
+    for v in values:
+        if v.den.degree > 0 and v.den != den:
+            den = v.den if den.degree == 0 else den * (v.den // hpoly_gcd(den, v.den))
+    return den, [v.num if v.den == den else
+                 v.num * (den if v.den.degree == 0 else den // v.den) for v in values]
+
+
 def rational_roots(p: HPoly) -> list:
     """All rational roots of p, via the rational root test. Empty for constants."""
     if not p or p.is_constant():
@@ -328,10 +342,10 @@ class HRat:
         if not base_num:
             base_num, base_den = HPoly.zero(), HPoly.one()
         else:
-            g = hpoly_gcd(base_num, base_den)
-            if g.degree > 0 or g.lead != 1:
-                base_num = base_num.exact_div(g)
-                base_den = base_den.exact_div(g)
+            g = hpoly_gcd(base_num, base_den) if base_den.degree > 0 else base_den
+            if g.degree > 0:  # a constant denominator shares no factor with base_num
+                base_num = base_num // g
+                base_den = base_den // g
             lc = base_den.lead
             if lc != 1:
                 base_num = base_num * (1 / lc)

@@ -231,14 +231,29 @@ class TestMalformedInput:
         ({"quadratic": {"n": 3, "alpha": [{"i": 1, "j": 2, "a": 1.5, "b": 1,
                                            "value": "1"}]}},
          "bad quadratic tensor indices [1, 2, 1.5, 1]"),
+        ({"n": 3, "phi": [{"i": "1", "j": 2, "terms": []}]},
+         "bad phi indices ['1', 2]"),
+        ({"potential": {"n": "3", "terms": [{"cycle": [3, 2, 1], "coeff": ["0", "-1"]}]}},
+         "bad generator count '3'"),
+        ({"n": 3, "phi": [{"i": 1, "j": 2, "terms": [{"word": [9], "coeff": ["0"]}]}]},
+         "bad word [9]"),
     ], ids=["lie-missing-value", "lie-string-index", "quadratic-missing-b",
-            "quadratic-float-index"])
+            "quadratic-float-index", "phi-string-index", "potential-string-n",
+            "phi-zero-term-bad-letter"])
     def test_constructor_entry(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "validate", "--input", str(path))
         assert code == 3
         assert "input error" in err and message in err
+
+    def test_from_potential_string_n(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": "3", "terms": [{"cycle": [3, 2, 1],
+                                                         "coeff": ["0", "-1"]}]}))
+        code, _, err = run_cli(capsys, "from-potential", "--input", str(path))
+        assert code == 3
+        assert "input error" in err and "bad generator count '3'" in err
 
     @pytest.mark.parametrize("d2_doc, message", [
         ([{"value": []}], "needs fields triple, value"),

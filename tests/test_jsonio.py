@@ -72,6 +72,22 @@ class TestNCPolyJson:
         p = NCPoly(3, {(1, 2): HPoly([1, -1]), (3,): HPoly([0, 0, 2])})
         assert ncpoly_from_json(ncpoly_to_json(p), 3) == p
 
+    def test_repeated_words_accumulate_in_order(self):
+        got = ncpoly_from_json([{"word": [2], "coeff": ["1"]}, {"word": [1], "coeff": ["3"]},
+                                {"word": [2], "coeff": ["-1"]}, {"word": [], "coeff": ["0"]},
+                                {"word": [1], "coeff": ["0", "1"]}], 2)
+        assert got.terms == {(1,): HPoly([3, 1])}
+        got = ncpoly_from_json([{"word": [2, 1], "coeff": ["1"]}, {"word": [1], "coeff": ["2"]},
+                                {"word": [2, 1], "coeff": ["1"]}], 2)
+        assert list(got.terms.items()) == [((2, 1), HPoly([2])), ((1,), HPoly([2]))]
+
+    @pytest.mark.parametrize("word", [[3], [0], [True], [1.0], "12", [[1]]])
+    def test_rejects_bad_letters_even_with_zero_coefficient(self, word):
+        for coeff in (["1"], ["0"]):
+            with pytest.raises(InputError):
+                ncpoly_from_json([{"word": [1], "coeff": ["1"]},
+                                  {"word": word, "coeff": coeff}], 2)
+
 
 class TestPotentialJson:
     def test_canonicalizes_cycles_on_load(self):

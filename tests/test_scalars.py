@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from pbwlab.scalars import HPoly, HRat, hpoly_gcd, rational_roots
+from pbwlab.scalars import (HPoly, HRat, clear_hrat_denominators, hpoly_gcd,
+                            rational_roots)
 
 
 class TestHPolyBasics:
@@ -141,3 +142,23 @@ def test_divmod_reconstructs(p, d):
 @given(sts.hpolys(max_degree=2), sts.nonzero_hpolys(max_degree=2))
 def test_hrat_constructor_agrees_with_division(num, den):
     assert HRat(num, den) == HRat(num) / HRat(den)
+
+
+@given(sts.hpolys(), sts.nonzero_hpolys(), sts.nonzero_hpolys(max_degree=2))
+def test_floordiv_is_exact(p, d, r):
+    assert (p * d) // d == p
+    # a remainder r of lower degree than a non-constant divisor d * (1 + h) is not divisible
+    divisor = d * HPoly([1, 1])
+    remainder = HPoly(r.coeffs[:divisor.degree])
+    if remainder:
+        with pytest.raises(ValueError):
+            (p * divisor + remainder) // divisor
+
+
+@settings(max_examples=50)
+@given(st.lists(sts.hrats(), max_size=5))
+def test_clear_hrat_denominators(values):
+    den, nums = clear_hrat_denominators(values)
+    assert den.lead == 1
+    assert [HRat(num, den) for num in nums] == values
+    assert all((den // v.den) * v.den == den for v in values)
