@@ -194,7 +194,7 @@ def run(args) -> int:
 
     if sub == "derive":
         doc = _load_json(args.input)
-        pot = potential_from_json(doc.get("potential", doc))
+        pot = potential_from_json(doc.get("potential", doc) if isinstance(doc, dict) else doc)
         config.update({"input": args.input, "var": args.var})
         result = cyclic_derivative(pot, args.var)
         body = {"potential": potential_to_json(pot),
@@ -204,7 +204,7 @@ def run(args) -> int:
 
     if sub == "from-potential":
         doc = _load_json(args.input)
-        pot = potential_from_json(doc.get("potential", doc))
+        pot = potential_from_json(doc.get("potential", doc) if isinstance(doc, dict) else doc)
         p = potential_to_presentation(pot)
         config["input"] = args.input
         body = {"potential": potential_to_json(pot),

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .certificates import CertificateReport, ConditionReport, ObstructionReport
+from .certificates import CertificateReport, ObstructionReport
 from .cyclic import CyclicWord, Potential
 from .errors import InputError
 from .freealg import NCPoly, add_terms
@@ -144,6 +144,7 @@ def potential_from_json(doc, n: int | None = None) -> Potential:
         terms = doc.get("terms", [])
     else:
         terms = doc
+    terms = _entries(terms, "potential terms")
     if n is None:
         raise InputError("potential document needs a generator count n")
     n = _generator_count(n)
@@ -152,7 +153,10 @@ def potential_from_json(doc, n: int | None = None) -> Potential:
         for item in terms:
             if not isinstance(item, dict) or "cycle" not in item or "coeff" not in item:
                 raise InputError(f"bad potential term: {item!r}")
-            yield CyclicWord(n, tuple(item["cycle"])), hpoly_from_json(item["coeff"])
+            cycle = item["cycle"]
+            if not (isinstance(cycle, list) and all(type(x) is int for x in cycle)):
+                raise InputError(f"bad cycle {cycle!r}: needs letters in 1..{n}")
+            yield CyclicWord(n, tuple(cycle)), hpoly_from_json(item["coeff"])
 
     return Potential.adopt(n, add_terms({}, cycles()))
 
@@ -181,7 +185,7 @@ def presentation_from_json(doc) -> Presentation:
                          "(or a lie/quadratic/potential wrapper)")
     n = _generator_count(doc["n"])
     phi: Dict[Tuple[int, int], NCPoly] = {}
-    for entry in doc["phi"]:
+    for entry in _entries(doc["phi"], "phi"):
         if not isinstance(entry, dict) or not {"i", "j", "terms"} <= set(entry):
             raise InputError(f"bad phi entry: {entry!r}")
         i, j = _indices([entry["i"], entry["j"]], 2, n, "phi indices")
@@ -192,6 +196,13 @@ def presentation_from_json(doc) -> Presentation:
             i, j, poly = j, i, -poly
         phi[(i, j)] = phi.get((i, j), NCPoly.zero(n)) + poly
     return Presentation(n, phi)
+
+
+def _entries(value, what: str) -> list:
+    """value, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, not {value!r}")
+    return value
 
 
 def _indices(value, count: int, n: int, what: str) -> Tuple[int, ...]:
@@ -221,7 +232,7 @@ def _generator_count(n) -> int:
 def lie_data_from_json(doc) -> LieData:
     n = _generator_count(doc.get("n") if isinstance(doc, dict) else None)
     c: Dict[Tuple[int, int, int], Fraction] = {}
-    for entry in doc.get("c", []):
+    for entry in _entries(doc.get("c", []), "structure constants c"):
         (i, j, k), value = _entry(entry, ("i", "j", "k"), n, "structure constant")
         if i == j:
             raise InputError(f"c_{i}{i}^{k} is zero by antisymmetry and is not stored")
@@ -234,7 +245,7 @@ def lie_data_from_json(doc) -> LieData:
 def quad_data_from_json(doc) -> QuadData:
     n = _generator_count(doc.get("n") if isinstance(doc, dict) else None)
     alpha: Dict[Tuple[int, int, int, int], Fraction] = {}
-    for entry in doc.get("alpha", []):
+    for entry in _entries(doc.get("alpha", []), "quadratic tensor alpha"):
         (i, j, a, b), value = _entry(entry, ("i", "j", "a", "b"), n, "quadratic tensor")
         if i == j:
             raise InputError(f"alpha_{i}{i} is zero by antisymmetry and is not stored")
@@ -323,14 +334,6 @@ def obstruction_report_to_json(r: ObstructionReport) -> dict:
                         "generator": ncpoly_to_json(gen.with_hpoly_coeffs())}
                        for tri, gen in r.generators],
     }
-
-
-def condition_report_to_json(r: ConditionReport) -> dict:
-    out = {"verdict": "pass" if r.passed else "fail"}
-    if not r.passed:
-        out["witness"] = list(r.witness)
-        out["value"] = format_rational(r.value)
-    return out
 
 
 def hilbert_report_to_json(r: HilbertReport) -> dict:

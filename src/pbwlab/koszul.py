@@ -144,20 +144,6 @@ class Differential:
     d1: Dict[Pair, NCPoly]
     d2: Dict[Triple, KoszulPoly]
 
-    def d1_at(self, i: int, j: int) -> NCPoly:
-        sign, sym = xi2(i, j)
-        if sym is None:
-            return NCPoly.zero(self.n)
-        value = self.d1[(sym[1], sym[2])]
-        return value if sign == 1 else -value
-
-    def d2_at(self, i: int, j: int, k: int) -> KoszulPoly:
-        sign, sym = xi3(i, j, k)
-        if sym is None:
-            return KoszulPoly.zero(self.n)
-        value = self.d2[(sym[1], sym[2], sym[3])]
-        return value if sign == 1 else -value
-
 
 def triples(n: int):
     return [(i, j, k)

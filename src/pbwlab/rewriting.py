@@ -10,14 +10,13 @@ generic mode every polynomial inverted while normalizing a rule is recorded,
 since its roots are the specializations at which the completed system may
 degenerate.
 
-Normal forms take words from a deglex max-heap, largest first, so each word
-is looked up against the rule leads once instead of at every step.  Both
-modes reduce fraction-free, in the ring whose field of fractions holds the
-coefficients: Python integers at h = a, HPoly over Q(h).  The terms sit over
-one common denominator, the rule tails are kept as rows over their own, and
-only the result is turned back into Fractions or HRats: the intermediate
-rules of a completion can carry coefficients of tens of thousands of bits,
-and field arithmetic would pay a gcd for every product and sum.
+Completion stays in the `Ring` whose field of fractions holds the coefficients,
+Z at h = a and Q[h] over Q(h).  A rule is only a primitive row lead -> (E,
+[(word, r)]), tail sum(r * word) / E; overlap differences come from the rows,
+normal forms run over one common denominator, and a new rule is the primitive
+row of a normal form.  Intermediate rules can carry coefficients of tens of
+thousands of bits, where field arithmetic would pay a gcd for every product
+and sum.  `rules` derives the Fraction or HRat tails from the rows.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -28,6 +27,7 @@ it by a specialization at which T has a nonzero normal form.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -43,8 +43,47 @@ from .scalars import (HPoly, HRat, clear_denominators, clear_hrat_denominators,
 TermDict = Dict[Word, object]
 
 
+class Ring(namedtuple("Ring", "unit gcd clear to_field field_poly primitive_row inverted")):
+    """The ring a completion reduces in, inside the field of its coefficients.
+
+    clear(values) is (d, nums) over one denominator d, to_field(v, d) is v / d,
+    field_poly(p, a) the field terms of p (at h = a over Q), and primitive_row(d,
+    values) is (d / c, [v / c]) for c the gcd of d and the values, scaled so that
+    d / c is positive in Z and monic in Q[h].  inverted(lc, d) is the monic
+    numerator of lc / d when it has a root (None in Z): the polynomial that a
+    rule with lead coefficient lc / d inverts."""
+
+
+def _primitive_int_row(den: int, values: list) -> tuple:
+    content = gcd(den, *values) if den > 0 else -gcd(den, *values)
+    return den // content, [v // content for v in values]
+
+
+def _primitive_hpoly_row(den: HPoly, values: list) -> tuple:
+    g = den.monic()
+    for v in values:
+        if not g.degree:
+            break
+        g = hpoly_gcd(g, v)
+    content = g * den.lead
+    return den // content, [v // content for v in values]
+
+
+def _inverted_hpoly(lc: HPoly, den: HPoly) -> Optional[HPoly]:
+    num = lc // hpoly_gcd(lc, den) if den.degree > 0 else lc
+    return num.monic() if num.degree >= 1 else None
+
+
+INTEGERS = Ring(1, gcd, clear_denominators, Fraction,
+                lambda poly, a: specialize(poly, a).terms,
+                _primitive_int_row, lambda lc, den: None)
+HPOLYS = Ring(HPoly.one(), hpoly_gcd, clear_hrat_denominators, HRat,
+              lambda poly, a: poly.with_hrat_coeffs().terms,
+              _primitive_hpoly_row, _inverted_hpoly)
+
+
 class RewriteSystem:
-    """Rules lead -> tail over a field, lead coefficient normalized to 1."""
+    """Rules lead -> tail over a field, lead coefficient 1, kept as rows over a `Ring`."""
 
     def __init__(self, p: Presentation, mode: str, a: Optional[Fraction] = None):
         if mode not in ("at", "generic"):
@@ -55,53 +94,44 @@ class RewriteSystem:
         self.mode = mode
         self.a = a
         self.presentation = p
-        self.rules: Dict[Word, TermDict] = {}
+        self.ring = INTEGERS if mode == "at" else HPOLYS
         self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
         self.degree_bound: Optional[int] = None
         self.complete_through: Optional[int] = None
         self.excluded: List[HPoly] = []
         self._resolved: set = set()
-        # the ring reduce_dict works in and its field of fractions: Z in Q at h = a,
-        # Q[h] in Q(h) generically
-        if mode == "at":
-            self._unit, self._gcd, self._clear = 1, gcd, clear_denominators
-            self._field, self._field_poly = Fraction, lambda poly: specialize(poly, a).terms
-        else:
-            self._unit, self._gcd, self._clear = HPoly.one(), hpoly_gcd, clear_hrat_denominators
-            self._field, self._field_poly = HRat, lambda poly: poly.with_hrat_coeffs().terms
         for pair in p.pairs():
-            rel = self._field_poly(p.relation(*pair))
+            rel = self.ring.field_poly(p.relation(*pair), a)
             if not rel:
                 raise BadSpecialization(pair, a)
-            self._add_poly(rel, queue=None)
+            den, nums = self.ring.clear(rel.values())
+            self._add_poly(den, dict(zip(rel, nums)), queue=None)
 
-    def _note_inversion(self, c) -> None:
-        if self.mode != "generic":
-            return
-        num = c.num
-        if num.degree >= 1:
-            m = num.monic()
-            if all(m != seen for seen in self.excluded):
-                self.excluded.append(m)
+    def _note_inversion(self, m: Optional[HPoly]) -> None:
+        if m is not None and all(m != seen for seen in self.excluded):
+            self.excluded.append(m)
 
     # -- the rule set ------------------------------------------------------
-    def _set_rule(self, lead: Word, tail: TermDict) -> None:
-        """Install lead -> tail, and keep the tail as a row over the ring with
-        its least common denominator, the form `reduce_dict` adds."""
-        self.rules[lead] = tail
-        self._by_len.setdefault(len(lead), set()).add(lead)
-        den, nums = self._clear(tail.values())
-        self._rows[lead] = (den, list(zip(tail, nums)))
+    @property
+    def rules(self) -> Dict[Word, TermDict]:
+        """The rules lead -> tail over the field, derived afresh from the rows."""
+        to_field = self.ring.to_field
+        return {lead: {w: to_field(c, scale) for w, c in row}
+                for lead, (scale, row) in self._rows.items()}
 
-    def _drop_rule(self, lead: Word) -> TermDict:
-        tail = self.rules.pop(lead)
-        del self._rows[lead]
+    def _set_rule(self, lead: Word, scale, row: list) -> None:
+        """Install lead -> row / scale, row a list of (word, ring coefficient)."""
+        self._rows[lead] = (scale, row)
+        self._by_len.setdefault(len(lead), set()).add(lead)
+
+    def _drop_rule(self, lead: Word) -> tuple:
+        scale_row = self._rows.pop(lead)
         bucket = self._by_len[len(lead)]
         bucket.discard(lead)
         if not bucket:
             del self._by_len[len(lead)]
-        return tail
+        return scale_row
 
     def _first_match(self, word: Word, lengths: List[int]):
         """Leftmost position carrying a rule lead; shortest lead at that position."""
@@ -115,23 +145,17 @@ class RewriteSystem:
                     return pos, cand
         return None
 
-    def reduce_dict(self, terms: TermDict) -> TermDict:
-        """Normal form of a word -> coefficient dict with respect to the current rules.
+    def reduce_ring(self, den, terms: TermDict) -> tuple:
+        """Normal form (den', terms') of terms / den, terms a word -> ring value
+        dict, updated in place.
 
-        Words are taken from a deglex max-heap.  A rewriting step only creates
-        words smaller than the one it rewrites, so a popped word without a
-        rule match is final, and the steps happen largest word first: the
-        leftmost, shortest match of the largest reducible word is rewritten.
-
-        The terms are held over the ring, Z at h = a and Q[h] over Q(h), with
-        one common denominator.  Rewriting c * w by lead -> row / E, with
-        g = gcd(c, E), multiplies the other terms and the denominator by E / g
-        and adds (c / g) * row, so nothing is divided until the result is
-        returned as Fractions or HRats.  A rule row with E = 1 costs no gcd.
+        Words come from a deglex max-heap: a step only creates smaller words, so
+        a popped word without a rule match is final, and the leftmost, shortest
+        match of the largest reducible word is rewritten first.  Rewriting c * w
+        by lead -> row / E, g = gcd(c, E), multiplies the other terms and den by
+        E / g and adds (c / g) * row, so nothing is divided; E = 1 costs no gcd.
         """
-        one, gcd_ = self._unit, self._gcd
-        den, nums = self._clear(terms.values())
-        terms = dict(zip(terms, nums))
+        one, gcd_ = self.ring.unit, self.ring.gcd
         heap = [(_worklist_key(w), w) for w in terms]
         heapq.heapify(heap)
         lengths = sorted(self._by_len)
@@ -169,33 +193,42 @@ class RewriteSystem:
                         terms[word] = acc
                     else:
                         del terms[word]
-        return {w: self._field(v, den) for w, v in terms.items()}
+        return den, terms
+
+    def reduce_dict(self, terms: TermDict) -> TermDict:
+        """Normal form of a word -> field coefficient dict with respect to the
+        current rules: the field wrapper of `reduce_ring`."""
+        ring = self.ring
+        den, nums = ring.clear(terms.values())
+        den, out = self.reduce_ring(den, dict(zip(terms, nums)))
+        return {w: ring.to_field(v, den) for w, v in out.items()}
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
-        return NCPoly.adopt(self.n, self.reduce_dict(self._field_poly(p)))
+        return NCPoly.adopt(self.n, self.reduce_dict(self.ring.field_poly(p, self.a)))
 
-    def _add_poly(self, poly: TermDict, queue) -> None:
-        stack = [poly]
+    def _add_poly(self, den, terms: TermDict, queue) -> None:
+        """Install the normal form of terms / den as a rule; rules whose leads
+        contain the new lead are retired and their polynomials reduced again."""
+        ring = self.ring
+        stack = [(den, terms)]
         while stack:
-            current = self.reduce_dict(stack.pop())
+            den, current = self.reduce_ring(*stack.pop())
             if not current:
                 continue
             lead = max(current, key=deglex_key)
             lc = current.pop(lead)
-            self._note_inversion(lc)
-            tail: TermDict = {}
-            for w, c in current.items():
-                tail[w] = -(c / lc)
-            doomed = [u for u in self.rules if len(u) > len(lead) and _contains(u, lead)]
+            self._note_inversion(ring.inverted(lc, den))
+            scale, row = ring.primitive_row(lc, [-c for c in current.values()])
+            doomed = [u for u in self._rows if len(u) > len(lead) and _contains(u, lead)]
             for u in doomed:
-                old_tail = self._drop_rule(u)
-                requeued = {w: -c for w, c in old_tail.items()}
-                requeued[u] = self._field(1)
-                stack.append(requeued)
-            self._set_rule(lead, tail)
+                old_scale, old_row = self._drop_rule(u)
+                requeued = {w: -c for w, c in old_row}
+                requeued[u] = old_scale
+                stack.append((old_scale, requeued))
+            self._set_rule(lead, scale, list(zip(current, row)))
             if queue is not None:
-                queue.push_overlaps(lead, self.rules)
+                queue.push_overlaps(lead, self._rows)
 
     # -- completion --------------------------------------------------------
     def complete(self, degree: int) -> "RewriteSystem":
@@ -209,22 +242,33 @@ class RewriteSystem:
             raise InputError("completion degree must be at least 2")
         if self.degree_bound is not None and degree <= self.degree_bound:
             return self
+        ring = self.ring
         queue = _AmbiguityQueue(degree, self._resolved)
-        for lead in list(self.rules):
-            queue.push_overlaps(lead, self.rules)
+        for lead in list(self._rows):
+            queue.push_overlaps(lead, self._rows)
         while queue.heap:
             left, right, k = queue.pop()
-            if left not in self.rules or right not in self.rules:
+            if left not in self._rows or right not in self._rows:
                 continue
-            # overlap word: left followed by the unmatched part of right
-            suffix = right[k:]
-            prefix = left[:len(left) - k]
-            p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in self.rules[left].items()))
-            add_terms(p1, ((prefix + tw, -tc) for tw, tc in self.rules[right].items()))
+            # overlap word left + right[k:]: the difference of the two rewrites
+            # over the denominator E_l * E_r / gcd(E_l, E_r)
+            (e_left, row_left), (e_right, row_right) = self._rows[left], self._rows[right]
+            suffix, prefix = right[k:], left[:len(left) - k]
+            if e_left == e_right:
+                p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in row_left))
+                add_terms(p1, ((prefix + tw, -tc) for tw, tc in row_right))
+            else:
+                g = ring.gcd(e_left, e_right)
+                m_left, m_right = e_right // g, -(e_left // g)
+                p1 = add_terms({}, ((tw + suffix, tc * m_left) for tw, tc in row_left))
+                add_terms(p1, ((prefix + tw, tc * m_right) for tw, tc in row_right))
             if p1:
-                self._add_poly(p1, queue)
-        for lead in list(self.rules):
-            self._set_rule(lead, self.reduce_dict(self._drop_rule(lead)))
+                self._add_poly(e_left if e_left == e_right else e_left * m_left, p1, queue)
+        for lead in list(self._rows):
+            scale, row = self._drop_rule(lead)
+            den, tail = self.reduce_ring(scale, dict(row))
+            scale, nums = ring.primitive_row(den, list(tail.values()))
+            self._set_rule(lead, scale, list(zip(tail, nums)))
         self.degree_bound = degree
         self.complete_through = degree - 1
         return self
@@ -233,7 +277,7 @@ class RewriteSystem:
     def normal_words(self, max_degree: int) -> List[List[Word]]:
         """Blockwise lists of irreducible words of each degree 0..max_degree."""
         out: List[List[Word]] = [[] for _ in range(max_degree + 1)]
-        if () in self.rules:
+        if () in self._rows:
             return out
         lengths = sorted(self._by_len)
 
@@ -292,7 +336,7 @@ class _AmbiguityQueue:
         heapq.heappush(self.heap, (degree, self._seq, left, right, k))
         self._seq += 1
 
-    def push_overlaps(self, lead: Word, rules: Dict[Word, TermDict]) -> None:
+    def push_overlaps(self, lead: Word, rules: Dict[Word, tuple]) -> None:
         for other in rules:
             for left, right in ((lead, other), (other, lead)):
                 top = min(len(left), len(right)) - 1

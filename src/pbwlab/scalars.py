@@ -145,39 +145,35 @@ class HPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = HPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __divmod__(self, other):
+        """Quotient and remainder by integer pseudo-division of the primitive
+        parts: a step whose integer divmod is inexact first scales the dividend
+        and quotient by the least factor that makes it exact, which an exact
+        division never needs (Gauss's lemma)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(o.coeffs) + 1, 0)
         d = o.degree
-        lc = o.lead
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            quo[shift] = factor
-            for i, c in enumerate(o.coeffs):
-                rem[shift + i] -= factor * c
-        return HPoly(quo), HPoly(rem)
+        if self.degree < d:
+            return HPoly(()), self
+        ca, rem = _content_split(self.coeffs)
+        cb, div = _content_split(o.coeffs)
+        lc, quo, den = div[-1], [0] * (len(rem) - d), 1
+        for shift in range(len(quo) - 1, -1, -1):
+            top = rem[shift + d]
+            if top:
+                g = gcd(top, lc)
+                if g != lc:
+                    mult = lc // g
+                    rem, quo, den = [c * mult for c in rem], [c * mult for c in quo], den * mult
+                quo[shift] = factor = top // g
+                for i, c in enumerate(div):
+                    rem[shift + i] -= factor * c
+        qs, rs = ca / (cb * den), ca / den
+        return (HPoly([Fraction(c * qs.numerator, qs.denominator) for c in quo]),
+                HPoly([Fraction(c * rs.numerator, rs.denominator) for c in rem[:d]]))
 
     def __floordiv__(self, other) -> "HPoly":
         """Exact quotient; ValueError when other does not divide self."""
@@ -227,13 +223,12 @@ def clear_denominators(values) -> tuple:
     return den, [c.numerator * (den // c.denominator) for c in values]
 
 
-def _primitive_int_coeffs(p: HPoly) -> list:
-    """Integer coefficient list of p divided by its rational content."""
-    if not p:
-        return []
-    _, ints = clear_denominators(p.coeffs)
-    content = gcd(*ints)
-    return [c // content for c in ints]
+def _content_split(coeffs) -> tuple:
+    """(c, ints) with coeffs equal to [c * v for v in ints], ints coprime integers
+    with a positive last entry; coeffs must not end in zero."""
+    den, ints = clear_denominators(coeffs)
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return Fraction(content, den), [v // content for v in ints]
 
 
 def _primitive_pseudo_rem(a: list, b: list) -> list:
@@ -263,7 +258,8 @@ def _primitive_pseudo_rem(a: list, b: list) -> list:
 
 def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
     """Monic greatest common divisor via a primitive remainder sequence; gcd(0, 0) = 0."""
-    ca, cb = _primitive_int_coeffs(a), _primitive_int_coeffs(b)
+    ca = _content_split(a.coeffs)[1] if a else []
+    cb = _content_split(b.coeffs)[1] if b else []
     while cb:
         ca, cb = cb, _primitive_pseudo_rem(ca, cb)
     if not ca:

@@ -149,6 +149,22 @@ def module_membership_reference(pres: Presentation, target: NCPoly, max_word_deg
     return not _cell_echelon_reduce(pivots, goal)
 
 
+def hpoly_divmod_reference(p: HPoly, d: HPoly):
+    """Quotient and remainder of p by d by long division in Fractions: each
+    step divides the remainder's top coefficient by the lead of d."""
+    if not d.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    deg, lc = len(d.coeffs) - 1, d.coeffs[-1]
+    quo = [Fraction(0)] * max(len(rem) - deg, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = rem[shift + deg] / lc
+        quo[shift] = factor
+        for i, c in enumerate(d.coeffs):
+            rem[shift + i] -= factor * c
+    return HPoly(quo), HPoly(rem[:deg])
+
+
 def _first_lead_match(by_len, word):
     lengths = sorted(by_len)
     for pos in range(len(word) + 1):

@@ -237,9 +237,16 @@ class TestMalformedInput:
          "bad generator count '3'"),
         ({"n": 3, "phi": [{"i": 1, "j": 2, "terms": [{"word": [9], "coeff": ["0"]}]}]},
          "bad word [9]"),
+        ({"n": 3, "phi": 5}, "phi must be a list, not 5"),
+        ({"potential": {"n": 3, "terms": 5}}, "potential terms must be a list, not 5"),
+        ({"lie": {"n": 3, "c": 5}}, "structure constants c must be a list, not 5"),
+        ({"quadratic": {"n": 3, "alpha": 5}}, "quadratic tensor alpha must be a list, not 5"),
+        ({"potential": {"n": 3, "terms": [{"cycle": ["1"], "coeff": ["1"]}]}},
+         "bad cycle ['1']"),
     ], ids=["lie-missing-value", "lie-string-index", "quadratic-missing-b",
             "quadratic-float-index", "phi-string-index", "potential-string-n",
-            "phi-zero-term-bad-letter"])
+            "phi-zero-term-bad-letter", "phi-not-a-list", "potential-terms-not-a-list",
+            "lie-c-not-a-list", "quadratic-alpha-not-a-list", "potential-string-letter"])
     def test_constructor_entry(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -254,6 +261,14 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, "from-potential", "--input", str(path))
         assert code == 3
         assert "input error" in err and "bad generator count '3'" in err
+
+    @pytest.mark.parametrize("sub", [["from-potential"], ["derive", "--var", "1"]])
+    def test_potential_file_not_an_object(self, capsys, tmp_path, sub):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"cycle": [1, 2], "coeff": ["1"]}]))
+        code, _, err = run_cli(capsys, *sub, "--input", str(path))
+        assert code == 3
+        assert "input error" in err and "needs a generator count n" in err
 
     @pytest.mark.parametrize("d2_doc, message", [
         ([{"value": []}], "needs fields triple, value"),

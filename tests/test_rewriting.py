@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from pbwlab.jsonio import presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
                               torsion_check)
-from pbwlab.scalars import HPoly, HRat
+from pbwlab.scalars import HPoly, HRat, hpoly_gcd
 
 
 def terms_of(tail):
@@ -271,9 +271,9 @@ def _rationals_of(c):
     return [q for part in (c.num, c.den) for q in part.coeffs] if isinstance(c, HRat) else [c]
 
 
-def _max_bits(system):
+def _max_bits(rules):
     return max((max(q.numerator.bit_length(), q.denominator.bit_length())
-                for tail in system.rules.values() for c in tail.values()
+                for tail in rules.values() for c in tail.values()
                 for q in _rationals_of(c)), default=0)
 
 
@@ -286,18 +286,22 @@ def _hrat_corpus_presentations():
 
 def _recorded_reductions(system, degree):
     """(rules, their largest coefficient bit size, terms, normal form) of every
-    reduce_dict call made while completing to degree."""
+    ring-level normal form taken while completing to degree, in field values."""
     calls = []
-    reduce_dict = system.reduce_dict
+    reduce_ring = system.reduce_ring
+    to_field = system.ring.to_field
 
-    def recording(terms):
-        out = reduce_dict(terms)
-        calls.append((dict(system.rules), _max_bits(system), dict(terms), dict(out)))
-        return out
+    def recording(den, terms):
+        before = {w: to_field(c, den) for w, c in terms.items()}
+        out_den, out = reduce_ring(den, terms)
+        rules = dict(system.rules)
+        calls.append((rules, _max_bits(rules), before,
+                      {w: to_field(c, out_den) for w, c in out.items()}))
+        return out_den, out
 
-    system.reduce_dict = recording
+    system.reduce_ring = recording
     system.complete(degree)
-    del system.reduce_dict
+    del system.reduce_ring
     return calls
 
 
@@ -359,6 +363,49 @@ def test_reduce_dict_matches_rescan_reference():
                              for c in tail.values())]
     assert len(non_polynomial) == 11
     assert cases >= 150
+
+
+def _assert_rows_primitive(system):
+    """Every rule row is the cleared form of its derived field tail: primitive,
+    with a positive denominator in Z and a monic one in Q[h]."""
+    rules = system.rules
+    for lead, (scale, row) in system._rows.items():
+        tail = rules[lead]
+        den, nums = system.ring.clear(tail.values())
+        assert (scale, row) == (den, list(zip(tail, nums))), lead
+        if system.mode == "at":
+            assert scale > 0 and gcd(scale, *nums) == 1, lead
+        else:
+            content = scale
+            for num in nums:
+                content = hpoly_gcd(content, num)
+            assert scale.lead == 1 and content == HPoly.one(), lead
+
+
+def test_rule_rows_stay_primitive():
+    """Rows after every build_rules and complete: seeded presentations at h = a,
+    the corpus potentials over Q(h), and the cascading fixture's swollen
+    completion at h = 1/2."""
+    rng = random.Random(20136)
+    systems = []
+    for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-5, 3)):
+        for case in range(10):
+            try:
+                system = build_rules(_random_presentation(rng, 2 if case % 2 else 3), "at", a)
+            except BadSpecialization:
+                continue
+            systems.append((system, (3, 4)))
+    systems += [(build_rules(pres, "generic"), (3, 4, 5))
+                for pres in _hrat_corpus_presentations()]
+    systems.append((build_rules(_cascading_presentation(), "at", Fraction(1, 2)), (3, 4, 5)))
+    non_trivial = 0
+    for system, degrees in systems:
+        _assert_rows_primitive(system)
+        for degree in degrees:
+            system.complete(degree)
+            _assert_rows_primitive(system)
+        non_trivial += any(scale != system.ring.unit for scale, _ in system._rows.values())
+    assert len(systems) >= 40 and non_trivial >= 10
 
 
 class TestReduceEdgeCases:
@@ -439,7 +486,7 @@ class TestTorsion:
 class TestConfluence:
     @staticmethod
     def _random_reduce(system, poly, rng):
-        terms = dict(system._field_poly(poly))
+        terms = dict(system.ring.field_poly(poly, system.a))
         while True:
             sites = []
             for w in terms:

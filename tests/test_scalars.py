@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+from oracles import hpoly_divmod_reference
 from pbwlab.scalars import (HPoly, HRat, clear_hrat_denominators, hpoly_gcd,
                             rational_roots)
 
@@ -153,6 +154,34 @@ def test_floordiv_is_exact(p, d, r):
     if remainder:
         with pytest.raises(ValueError):
             (p * divisor + remainder) // divisor
+
+
+def _wide_hpolys(max_degree):
+    return st.lists(sts.rationals(bound=50, max_denominator=36),
+                    max_size=max_degree + 1).map(HPoly)
+
+
+@settings(max_examples=200)
+@given(_wide_hpolys(7), _wide_hpolys(4), sts.hpolys(max_degree=2))
+def test_divmod_matches_fraction_long_division(p, d, q):
+    """Integer pseudo-division against the Fraction long division, on random,
+    exact and inexact quotients, including the zero divisor."""
+    for dividend in (p, q * d, q * d + p):
+        if not d:
+            with pytest.raises(ZeroDivisionError):
+                divmod(dividend, d)
+            with pytest.raises(ZeroDivisionError):
+                dividend // d
+            continue
+        quo, rem = divmod(dividend, d)
+        ref_quo, ref_rem = hpoly_divmod_reference(dividend, d)
+        assert (quo.coeffs, rem.coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
+        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+        if rem:
+            with pytest.raises(ValueError):
+                dividend // d
+        else:
+            assert (dividend // d).coeffs == ref_quo.coeffs
 
 
 @settings(max_examples=50)
