@@ -83,6 +83,8 @@ def parse_hpoly_string(text: str) -> HPoly:
                 if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
                     raise InputError(f"bad fraction in {text!r}")
                 den = int(tokens[i + 1])
+                if not den:
+                    raise InputError(f"zero denominator in {text!r}")
                 i += 2
             coeff = Fraction(num, den)
             explicit = True

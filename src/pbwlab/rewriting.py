@@ -21,7 +21,10 @@ and sum.  `rules` derives the Fraction or HRat tails from the rows.
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
 (bounded-degree exact linear algebra), while T is certified to stay outside
-it by a specialization at which T has a nonzero normal form.
+it by a specialization at which T has a nonzero normal form.  When all the
+words of every relation have one length (h times a quadratic tail), the
+multiples of the relations split into a direct sum by word length, and only
+the lengths that T's words have are row-reduced.
 """
 
 from __future__ import annotations
@@ -456,6 +459,14 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     integers, and reducing by a pivot cross-multiplies instead of dividing,
     so the span, and with it the answer, is exactly that of the rational
     elimination.
+
+    When all the words of each relation have one length (h times a
+    quadratic tail: potentials, quantum spaces), every row h^s * u * r * v
+    is homogeneous in word length, so the cell space and the row span split
+    into a direct sum by length, and target lies in the span exactly when
+    each of its length components does.  Only the multiples with
+    |u| + |v| + deg r equal to a length of a target word are then built:
+    rows of any other length never meet the target's cells.
     """
     target = target.with_hpoly_coeffs()
     for w, c in target.terms.items():
@@ -463,16 +474,21 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
             return False
     width = max_h_degree + 1
     rank = {w: i for i, w in enumerate(_words_up_to(p.n, max_word_degree))}
+    relations = [p.relation(*pair).with_hpoly_coeffs() for pair in p.pairs()]
+    graded = all(len({len(w) for w in rel.terms}) == 1 for rel in relations)
+    lengths = {len(w) for w in target.terms}
     pivots: Dict[int, Dict[int, int]] = {}
-    for pair in p.pairs():
-        rel = p.relation(*pair).with_hpoly_coeffs()
-        room = max_word_degree - rel.deg_x()
+    for rel in relations:
+        deg = rel.deg_x()
+        room = max_word_degree - deg
         cells = _primitive_cells(rel)
         shifts = range(width - max(k for _, k, _ in cells))
         if room < 0 or not shifts:
             continue
         for u in _words_up_to(p.n, room):
             for v in _words_up_to(p.n, room - len(u)):
+                if graded and len(u) + len(v) + deg not in lengths:
+                    continue
                 base = {rank[u + w + v] * width + k: c for w, k, c in cells}
                 for shift in shifts:
                     _echelon_insert(pivots, {col + shift: c for col, c in base.items()})

@@ -281,38 +281,60 @@ def clear_hrat_denominators(values) -> tuple:
 
 
 def rational_roots(p: HPoly) -> list:
-    """All rational roots of p, via the rational root test. Empty for constants."""
+    """All rational roots of p, sorted; empty for constants.
+
+    A rational root of a primitive integer polynomial with leading coefficient
+    L has a denominator dividing L, so two distinct candidates lie at least
+    1/L^2 apart.  Sturm bisection of the square-free part isolates each real
+    root in an interval (lo, hi] narrower than 1/(2 L^2); the only fraction of
+    denominator at most |L| that can be a root there is the one nearest hi,
+    and it is one exactly when it lies in the interval and evaluates to 0.
+    No divisor of the constant term is enumerated, so the cost grows with the
+    bit size of the coefficients, not with their magnitude.
+    """
     if not p or p.is_constant():
         return []
-    _, ints = clear_denominators(p.coeffs)
-    while ints and ints[0] == 0:
-        ints.pop(0)  # factor out hbar; 0 handled separately
-    roots = set()
-    if len(ints) < len(p.coeffs):
-        roots.add(Fraction(0))
-    if not ints:
-        return sorted(roots)
-    lead, const = ints[-1], ints[0]
-    for pp in _divisors(abs(const)):
-        for qq in _divisors(abs(lead)):
-            for cand in (Fraction(pp, qq), Fraction(-pp, qq)):
-                if p.eval(cand) == 0:
-                    roots.add(cand)
+    repeated = hpoly_gcd(p, HPoly([k * c for k, c in enumerate(p.coeffs)][1:]))
+    square_free = p // repeated if repeated.degree > 0 else p
+    ints = _content_split(square_free.coeffs)[1]
+    lead = ints[-1]
+    chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
+    while len(chain[-1]) > 1:
+        _, rem = clear_denominators(divmod(HPoly(chain[-2]), HPoly(chain[-1]))[1].coeffs)
+        content = gcd(*rem)
+        chain.append([-v // content for v in rem])
+
+    def sign_changes(num: int, shift: int) -> int:
+        """Sign changes of the Sturm chain at num / 2^shift, zeros skipped:
+        right-continuous, so V(lo) - V(hi) counts the distinct roots in (lo, hi]."""
+        signs = []
+        for q in chain:
+            acc, scale = q[-1], 1
+            for c in reversed(q[:-1]):
+                scale <<= shift
+                acc = acc * num + c * scale
+            if acc:
+                signs.append(acc > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # interval ends are num / 2^shift; by Cauchy's bound every real root lies
+    # in (-bound, bound), and isolated roots are narrowed to width < 1/(2 L^2)
+    bound = 2 + max(abs(c) for c in ints[:-1]) // lead
+    roots = []
+    stack = [(-bound, bound, 0, sign_changes(-bound, 0), sign_changes(bound, 0))]
+    while stack:
+        lo, hi, shift, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and (hi - lo) * 2 * lead * lead < 1 << shift:
+            candidate = Fraction(hi, 1 << shift).limit_denominator(lead)
+            if lo < candidate * (1 << shift) <= hi and p.eval(candidate) == 0:
+                roots.append(candidate)
+            continue
+        lo, mid, hi, shift = 2 * lo, lo + hi, 2 * hi, shift + 1
+        v_mid = sign_changes(mid, shift)
+        stack += [(lo, mid, shift, v_lo, v_mid), (mid, hi, shift, v_mid, v_hi)]
     return sorted(roots)
-
-
-def _divisors(m: int) -> list:
-    if m == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
 
 
 class HRat:

@@ -13,7 +13,7 @@ from itertools import product
 
 from pbwlab.freealg import NCPoly, deglex_key, specialize
 from pbwlab.presentations import Presentation, QuadData
-from pbwlab.scalars import HPoly
+from pbwlab.scalars import HPoly, clear_denominators
 
 
 def words_up_to(n, max_len):
@@ -163,6 +163,39 @@ def hpoly_divmod_reference(p: HPoly, d: HPoly):
         for i, c in enumerate(d.coeffs):
             rem[shift + i] -= factor * c
     return HPoly(quo), HPoly(rem[:deg])
+
+
+def rational_roots_reference(p: HPoly):
+    """Rational roots of p by the rational root test: every +-a/b with a
+    dividing the constant term and b the leading coefficient, after the
+    factor h is taken out, is evaluated exactly."""
+    if not p or p.is_constant():
+        return []
+    _, ints = clear_denominators(p.coeffs)
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    roots = set()
+    if len(ints) < len(p.coeffs):
+        roots.add(Fraction(0))
+    if not ints:
+        return sorted(roots)
+    lead, const = ints[-1], ints[0]
+    for num in _divisors(abs(const)):
+        for den in _divisors(abs(lead)):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if p.eval(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _divisors(m):
+    out = []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            out.extend({d, m // d})
+        d += 1
+    return sorted(out)
 
 
 def _first_lead_match(by_len, word):

@@ -123,6 +123,17 @@ class TestTorsion:
         assert code == 1
         assert "refuted" in out
 
+    @pytest.mark.parametrize("factor", ["1/0", "3/0*h"])
+    def test_zero_denominator_factor_is_input_error(self, capsys, strange_file, tmp_path,
+                                                    factor):
+        elem = tmp_path / "T.json"
+        elem.write_text(json.dumps(TORSION_T))
+        code, _, err = run_cli(capsys, "torsion", "--input", strange_file,
+                               "--element", str(elem), "--factor", factor,
+                               "--degree", "5")
+        assert code == 3
+        assert "input error" in err and "zero denominator" in err
+
 
 class TestValidate:
     def test_valid(self, capsys, sl2_file):

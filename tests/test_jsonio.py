@@ -57,7 +57,7 @@ class TestScalarStrings:
     def test_parse(self, text, coeffs):
         assert parse_hpoly_string(text) == HPoly(coeffs)
 
-    @pytest.mark.parametrize("text", ["", "h^", "1+", "(1-h)", "x"])
+    @pytest.mark.parametrize("text", ["", "h^", "1+", "(1-h)", "x", "1/0", "3/0*h"])
     def test_rejects(self, text):
         with pytest.raises(InputError):
             parse_hpoly_string(text)

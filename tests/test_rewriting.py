@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (module_membership_reference, normal_form_reference,
                      words_up_to)
+from pbwlab import rewriting
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
 from pbwlab.freealg import NCPoly, specialize
@@ -192,6 +193,15 @@ class TestModuleMembership:
         assert module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 3)
         assert not module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 2)
 
+    def test_inhomogeneous_relations_use_every_length(self, non_jacobi):
+        """The jacobiator h^2 x2 is one word of length 1, reached only through
+        the length-3 multiples x_i r_jk - r_jk x_i of the Lie relations."""
+        pres = from_lie(non_jacobi)
+        target = NCPoly.word(3, (2,), HPoly.h(2))
+        assert module_membership(pres, target, 3, 3)
+        assert module_membership_reference(pres, target, 3, 3)
+        assert not module_membership(pres, target, 2, 3)
+
 
 _RATIONALS = [Fraction(2, 7), Fraction(-5, 3), Fraction(1, 2), Fraction(-3, 4),
               Fraction(9, 5), Fraction(3), Fraction(-1)]
@@ -257,6 +267,85 @@ def test_module_membership_matches_fraction_reference():
                                                   max_h_degree), (case, pres, target)
         answers.append(got)
     assert answers.count(False) > len(answers) // 2
+
+
+def _quadratic_tail_presentation(rng, n):
+    """h times a random quadratic tail for every pair: each relation's words have length 2."""
+    phi = {}
+    for pair in Presentation(n).pairs():
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            terms[(rng.randint(1, n), rng.randint(1, n))] = _random_hpoly(rng, 1)
+        phi[pair] = NCPoly(n, terms)
+    return Presentation(n, phi)
+
+
+def _combination_of_length(rng, pres, length, max_h_degree):
+    """A random Q[h]-combination of multiples u * r * v with |u| + |v| + 2 = length."""
+    n = pres.n
+    out = NCPoly.zero(n)
+    for _ in range(rng.randint(1, 2)):
+        rel = pres.relation(*rng.choice(pres.pairs()))
+        left = rng.randint(0, length - 2)
+        u = tuple(rng.randint(1, n) for _ in range(left))
+        v = tuple(rng.randint(1, n) for _ in range(length - 2 - left))
+        hdeg = max(c.degree for c in rel.terms.values())
+        scalar = HPoly([rng.choice(_RATIONALS) for _ in range(max_h_degree - hdeg + 1)])
+        out = out + (NCPoly.word(n, u, HPoly.one()) * rel
+                     * NCPoly.word(n, v, HPoly.one())).scale(scalar)
+    return out
+
+
+def _rows_built(pres, max_word_degree, max_h_degree, lengths):
+    """Rows h^s * u * r * v of the given word lengths within the bounds."""
+    count = 0
+    for pair in pres.pairs():
+        rel = pres.relation(*pair)
+        shifts = max_h_degree + 1 - max(c.degree for c in rel.terms.values())
+        count += sum((length - 1) * pres.n ** (length - 2) * shifts
+                     for length in range(2, max_word_degree + 1) if length in lengths)
+    return count
+
+
+def test_graded_module_membership_matches_fraction_reference(monkeypatch):
+    """On h * quadratic tails only the target's word lengths are row-reduced;
+    the answer still equals the full rational elimination, seeded."""
+    rows = []
+    insert = rewriting._echelon_insert
+    monkeypatch.setattr(rewriting, "_echelon_insert",
+                        lambda pivots, row: (rows.append(row), insert(pivots, row)))
+    rng = random.Random(20132)
+    answers, graded = [], 0
+    for case in range(60):
+        n = 2 if case % 2 else 3
+        max_word_degree = 5 if n == 2 else 4
+        max_h_degree = rng.randint(2, 3)
+        pres = _quadratic_tail_presentation(rng, n)
+        lengths = rng.sample(range(2, max_word_degree + 1), rng.randint(2, 3) if n == 2 else 2)
+        target = NCPoly.zero(n)
+        for length in lengths:
+            target = target + _combination_of_length(rng, pres, length, max_h_degree)
+        kind = case % 6 // 2
+        if kind == 1:  # one length component leaves the span
+            length = rng.choice(lengths)
+            word = tuple(rng.randint(1, n) for _ in range(length))
+            target = target + NCPoly.word(n, word, HPoly([rng.choice(_RATIONALS)]))
+        elif kind == 2:  # a component of a length no row has
+            word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 1)))
+            target = target + NCPoly.word(n, word, HPoly.h(rng.randint(0, max_h_degree)))
+        rows.clear()
+        got = module_membership(pres, target, max_word_degree, max_h_degree)
+        assert got == module_membership_reference(pres, target, max_word_degree,
+                                                  max_h_degree), (case, pres, target)
+        assert got or kind > 0
+        built = _rows_built(pres, max_word_degree, max_h_degree,
+                            {len(w) for w in target.terms})
+        assert len(rows) == built
+        graded += built < _rows_built(pres, max_word_degree, max_h_degree,
+                                      range(max_word_degree + 1))
+        answers.append((kind, got))
+    assert graded == 60
+    assert answers.count((1, False)) >= 15 and answers.count((2, False)) == 20
 
 
 def _random_terms(rng, n, coeff):
@@ -465,6 +554,13 @@ class TestTorsion:
         out = torsion_check(strange_presentation, T, HPoly([1, -1]), 6)
         assert out.status == "witness"
         assert out.degree_bound == 6
+        assert out.refuting_specialization == 1
+
+    def test_witness_at_degree_seven(self, strange_presentation):
+        T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
+        out = torsion_check(strange_presentation, T, HPoly([1, -1]), 7)
+        assert out.status == "witness"
+        assert out.degree_bound == 7
         assert out.refuting_specialization == 1
 
     def test_constant_factor_refuted(self, strange_presentation):

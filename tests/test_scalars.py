@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import hpoly_divmod_reference
+from oracles import hpoly_divmod_reference, rational_roots_reference
 from pbwlab.scalars import (HPoly, HRat, clear_hrat_denominators, hpoly_gcd,
                             rational_roots)
 
@@ -131,6 +131,35 @@ def test_rational_roots():
     assert rational_roots(p) == [Fraction(-3, 2), Fraction(1)]
     assert rational_roots(HPoly([0, 0, 1])) == [Fraction(0)]
     assert rational_roots(HPoly([5])) == []
+
+
+def _linear_factors():
+    return st.tuples(st.integers(-8, 8), st.integers(1, 8)) \
+        .map(lambda t: HPoly([-t[0], t[1]]))
+
+
+@given(st.lists(_linear_factors(), max_size=3), sts.nonzero_hpolys(),
+       st.integers(1, 2), st.integers(0, 2))
+@example([], HPoly([Fraction(1, 3), 2, 0, -1]), 1, 1)
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_matches_divisor_enumeration(factors, cofactor, power, h_power):
+    """Sturm isolation against the rational root test, repeated roots and
+    the root 0 included.  The explicit example has an irrational root within
+    1/(2 L^2) of the rational root 0, whose nearest fraction is 0 itself."""
+    p = cofactor * HPoly.h(h_power)
+    for f in factors:
+        for _ in range(power):
+            p = p * f
+    assert rational_roots(p) == rational_roots_reference(p)
+
+
+def test_rational_roots_of_a_60_bit_prime():
+    # the divisor enumeration would trial-divide up to 2^30 here
+    prime = 1152921504606846883
+    assert rational_roots(HPoly([prime, -1])) == [Fraction(prime)]
+    p = HPoly([prime, -1]) * HPoly([2, 3]) * HPoly([2, 3]) * HPoly([1, 0, 1])
+    assert rational_roots(p) == [Fraction(-2, 3), Fraction(prime)]
+    assert rational_roots(HPoly([prime, 0, -7])) == []
 
 
 @given(sts.hpolys(), sts.nonzero_hpolys())
