@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .certificates import certify, obstruction
+from .certificates import D2_CHOICES, certify, obstruction
 from .cyclic import cyclic_derivative, potential_to_presentation
 from .errors import InputError, NoObstruction, OutOfRange, PbwError
 from .freealg import format_ncpoly
@@ -69,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("certify", "obstruction"):
         sp = sub.add_parser(name, help=f"{name} with a chosen degree-(-2) differential")
         common(sp)
-        sp.add_argument("--d2", choices=("default", "lie", "quadratic", "custom"),
-                        default="default")
+        sp.add_argument("--d2", choices=D2_CHOICES, default="default")
         sp.add_argument("--d2-file", help="custom differential JSON (with --d2 custom)")
 
     sp = sub.add_parser("derive", help="cyclic derivative of a potential")

@@ -13,11 +13,12 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .certificates import CertificateReport, ObstructionReport
-from .cyclic import CyclicWord, Potential
+from .cyclic import CyclicWord, Potential, potential_to_presentation
 from .errors import InputError
 from .freealg import NCPoly, add_terms
 from .koszul import KoszulPoly, Triple, kterm
-from .presentations import LieData, Presentation, QuadData, ValidationReport
+from .presentations import (LieData, Presentation, QuadData, ValidationReport, from_lie,
+                            from_quadratic)
 from .rewriting import HilbertReport, TorsionOutcome
 from .scalars import HPoly, format_rational
 
@@ -175,12 +176,10 @@ def presentation_from_json(doc) -> Presentation:
     if not isinstance(doc, dict):
         raise InputError("presentation document must be an object")
     if "lie" in doc:
-        return _lie_presentation(doc["lie"])
+        return from_lie(lie_data_from_json(doc["lie"]))
     if "quadratic" in doc:
-        return _quad_presentation(doc["quadratic"])
+        return from_quadratic(quad_data_from_json(doc["quadratic"]))
     if "potential" in doc:
-        from .cyclic import potential_to_presentation
-
         return potential_to_presentation(potential_from_json(doc["potential"]))
     if "n" not in doc or "phi" not in doc:
         raise InputError("presentation document needs fields n and phi "
@@ -256,18 +255,6 @@ def quad_data_from_json(doc) -> QuadData:
         key = (i, j, a, b)
         alpha[key] = alpha.get(key, Fraction(0)) + value
     return QuadData(n, {key: v for key, v in alpha.items() if v})
-
-
-def _lie_presentation(doc) -> Presentation:
-    from .presentations import from_lie
-
-    return from_lie(lie_data_from_json(doc))
-
-
-def _quad_presentation(doc) -> Presentation:
-    from .presentations import from_quadratic
-
-    return from_quadratic(quad_data_from_json(doc))
 
 
 def presentation_to_json(p: Presentation) -> dict:

@@ -33,6 +33,7 @@ import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -96,7 +97,6 @@ class RewriteSystem:
         self.n = p.n
         self.mode = mode
         self.a = a
-        self.presentation = p
         self.ring = INTEGERS if mode == "at" else HPOLYS
         self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
@@ -158,8 +158,8 @@ class RewriteSystem:
         by lead -> row / E, g = gcd(c, E), multiplies the other terms and den by
         E / g and adds (c / g) * row, so nothing is divided; E = 1 costs no gcd.
         """
-        one, gcd_ = self.ring.unit, self.ring.gcd
-        heap = [(_worklist_key(w), w) for w in terms]
+        one, gcd_, n = self.ring.unit, self.ring.gcd, self.n
+        heap = [(-_deglex_rank(w, n), w) for w in terms]
         heapq.heapify(heap)
         lengths = sorted(self._by_len)
         while heap:
@@ -189,7 +189,7 @@ class RewriteSystem:
                 if acc is None:
                     if add:
                         terms[word] = add
-                        heapq.heappush(heap, (_worklist_key(word), word))
+                        heapq.heappush(heap, (-_deglex_rank(word, n), word))
                 else:
                     acc = acc + add
                     if acc:
@@ -309,9 +309,13 @@ class RewriteSystem:
         return [len(block) for block in self.normal_words(max_degree)]
 
 
-def _worklist_key(word: Word):
-    """Heap key that pops the deglex-largest word first."""
-    return (-len(word), tuple(-x for x in word))
+def _deglex_rank(word: Word, n: int) -> int:
+    """Position of word in deglex order over x_1 < ... < x_n: the word read as a
+    bijective base-n numeral, letters 1..n as digits, () ranked 0."""
+    rank = 0
+    for letter in word:
+        rank = rank * n + letter
+    return rank
 
 
 def _contains(word: Word, sub: Word) -> bool:
@@ -453,56 +457,48 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     these bounds.
 
     The elimination is fraction-free and runs in integers: the cell
-    (word, k) is column rank(word) * (max_h_degree + 1) + k, with rank the
-    word's deglex position, so a row's deglex-largest cell is its largest
-    column and an h-shift adds to every column.  Rows are scaled to coprime
-    integers, and reducing by a pivot cross-multiplies instead of dividing,
-    so the span, and with it the answer, is exactly that of the rational
-    elimination.
+    (word, k) is column _deglex_rank(word) * (max_h_degree + 1) + k, so a
+    row's deglex-largest cell is its largest column and an h-shift adds to
+    every column.  Rows are scaled to coprime integers, and reducing by a
+    pivot cross-multiplies instead of dividing, so the span, and with it the
+    answer, is exactly that of the rational elimination.
 
-    When all the words of each relation have one length (h times a
-    quadratic tail: potentials, quantum spaces), every row h^s * u * r * v
-    is homogeneous in word length, so the cell space and the row span split
-    into a direct sum by length, and target lies in the span exactly when
-    each of its length components does.  Only the multiples with
-    |u| + |v| + deg r equal to a length of a target word are then built:
-    rows of any other length never meet the target's cells.
+    The multiples h^s * u * r * v are built by word length |u| + |v| + deg r.
+    When all the words of each relation have one length (h times a quadratic
+    tail: potentials, quantum spaces), every row is homogeneous in word
+    length, so the cell space and the row span split into a direct sum by
+    length, and target lies in the span exactly when each of its length
+    components does.  Only the lengths of the target's words are then built:
+    rows of any other length never meet the target's cells.  Otherwise every
+    length up to max_word_degree is.
     """
     target = target.with_hpoly_coeffs()
     for w, c in target.terms.items():
         if len(w) > max_word_degree or c.degree > max_h_degree:
             return False
-    width = max_h_degree + 1
-    rank = {w: i for i, w in enumerate(_words_up_to(p.n, max_word_degree))}
+    n, width = p.n, max_h_degree + 1
     relations = [p.relation(*pair).with_hpoly_coeffs() for pair in p.pairs()]
-    graded = all(len({len(w) for w in rel.terms}) == 1 for rel in relations)
-    lengths = {len(w) for w in target.terms}
+    if all(len({len(w) for w in rel.terms}) == 1 for rel in relations):
+        lengths = sorted({len(w) for w in target.terms})
+    else:
+        lengths = range(max_word_degree + 1)
+    letters = range(1, n + 1)
     pivots: Dict[int, Dict[int, int]] = {}
     for rel in relations:
         deg = rel.deg_x()
-        room = max_word_degree - deg
         cells = _primitive_cells(rel)
         shifts = range(width - max(k for _, k, _ in cells))
-        if room < 0 or not shifts:
+        if not shifts:
             continue
-        for u in _words_up_to(p.n, room):
-            for v in _words_up_to(p.n, room - len(u)):
-                if graded and len(u) + len(v) + deg not in lengths:
-                    continue
-                base = {rank[u + w + v] * width + k: c for w, k, c in cells}
-                for shift in shifts:
-                    _echelon_insert(pivots, {col + shift: c for col, c in base.items()})
-    goal = {rank[w] * width + k: c for w, k, c in _primitive_cells(target)}
+        for length in lengths:
+            for left in range(length - deg + 1):
+                for u in product(letters, repeat=left):
+                    for v in product(letters, repeat=length - deg - left):
+                        base = [(_deglex_rank(u + w + v, n) * width + k, c) for w, k, c in cells]
+                        for shift in shifts:
+                            _echelon_insert(pivots, {col + shift: c for col, c in base})
+    goal = {_deglex_rank(w, n) * width + k: c for w, k, c in _primitive_cells(target)}
     return not _echelon_reduce(pivots, goal)
-
-
-def _words_up_to(n: int, max_len: int) -> List[Word]:
-    out: List[Word] = [()]
-    frontier: List[Word] = [()]
-    for _ in range(max_len):
-        frontier = [w + (letter,) for w in frontier for letter in range(1, n + 1)]
-        out.extend(frontier)
-    return out
 
 
 def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
@@ -530,12 +526,7 @@ def _echelon_reduce(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> D
         a, b = lc // g, f // g
         if a != 1:
             row = {col: value * a for col, value in row.items()}
-        for col, value in pivot.items():
-            acc = row.get(col, 0) - b * value
-            if acc:
-                row[col] = acc
-            else:
-                row.pop(col, None)
+        add_terms(row, ((col, -b * value) for col, value in pivot.items()))
         content = gcd(*row.values())
         if content > 1:
             row = {col: value // content for col, value in row.items()}
@@ -594,17 +585,11 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
             "factor*T is not in the ideal even with rational-function coefficients",
             element, factor, degree, h_bound)
 
-    candidates: List[Fraction] = []
-    for root in rational_roots(factor):
-        candidates.append(root)
-    for poly in generic.excluded:
-        for root in rational_roots(poly):
-            if root not in candidates:
-                candidates.append(root)
-    for extra in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                  Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3)):
-        if extra not in candidates:
-            candidates.append(extra)
+    candidates = list(dict.fromkeys([
+        *rational_roots(factor),
+        *(root for poly in generic.excluded for root in rational_roots(poly)),
+        Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+        Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3)]))
 
     refuting = None
     for a in candidates:
@@ -612,7 +597,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
             special = build_rules(p, "at", a).complete(degree)
         except BadSpecialization:
             continue
-        if special.reduce(specialize(element, a)):
+        if special.reduce(element):
             refuting = a
             break
 

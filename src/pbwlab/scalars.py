@@ -300,9 +300,10 @@ def rational_roots(p: HPoly) -> list:
     lead = ints[-1]
     chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
     while len(chain[-1]) > 1:
-        _, rem = clear_denominators(divmod(HPoly(chain[-2]), HPoly(chain[-1]))[1].coeffs)
-        content = gcd(*rem)
-        chain.append([-v // content for v in rem])
+        # a positive lead makes the pseudo-remainder a positive multiple of the
+        # remainder, so the chain keeps the signs its sign counts rely on
+        divisor = chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+        chain.append([-v for v in _primitive_pseudo_rem(chain[-2], divisor)])
 
     def sign_changes(num: int, shift: int) -> int:
         """Sign changes of the Sturm chain at num / 2^shift, zeros skipped:

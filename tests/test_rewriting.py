@@ -15,7 +15,7 @@ from pbwlab import rewriting
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
 from pbwlab.freealg import NCPoly, specialize
-from pbwlab.jsonio import presentation_from_json
+from pbwlab.jsonio import ncpoly_from_json, presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
                               torsion_check)
@@ -193,12 +193,15 @@ class TestModuleMembership:
         assert module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 3)
         assert not module_membership(strange_presentation, rel.scale(HPoly.h(2)), 2, 2)
 
-    def test_inhomogeneous_relations_use_every_length(self, non_jacobi):
+    def test_inhomogeneous_relations_use_every_length(self, non_jacobi, monkeypatch):
         """The jacobiator h^2 x2 is one word of length 1, reached only through
-        the length-3 multiples x_i r_jk - r_jk x_i of the Lie relations."""
+        the length-3 multiples x_i r_jk - r_jk x_i of the Lie relations, so
+        every multiple h^s * u * r * v within the word bound is built."""
         pres = from_lie(non_jacobi)
         target = NCPoly.word(3, (2,), HPoly.h(2))
+        rows = _record_rows(monkeypatch)
         assert module_membership(pres, target, 3, 3)
+        assert len(rows) == _rows_built(pres, 3, 3, range(4))
         assert module_membership_reference(pres, target, 3, 3)
         assert not module_membership(pres, target, 2, 3)
 
@@ -307,6 +310,15 @@ def _rows_built(pres, max_word_degree, max_h_degree, lengths):
     return count
 
 
+def _record_rows(monkeypatch):
+    """The list of rows handed to `_echelon_insert` from now on."""
+    rows = []
+    insert = rewriting._echelon_insert
+    monkeypatch.setattr(rewriting, "_echelon_insert",
+                        lambda pivots, row: (rows.append(row), insert(pivots, row)))
+    return rows
+
+
 def test_graded_module_membership_matches_fraction_reference(monkeypatch):
     """On h * quadratic tails only the target's word lengths are row-reduced;
     the answer still equals the full rational elimination, seeded."""
@@ -346,6 +358,12 @@ def test_graded_module_membership_matches_fraction_reference(monkeypatch):
         answers.append((kind, got))
     assert graded == 60
     assert answers.count((1, False)) >= 15 and answers.count((2, False)) == 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deglex_rank_is_the_deglex_position(n):
+    for position, word in enumerate(words_up_to(n, 5)):
+        assert rewriting._deglex_rank(word, n) == position
 
 
 def _random_terms(rng, n, coeff):
@@ -562,6 +580,16 @@ class TestTorsion:
         assert out.status == "witness"
         assert out.degree_bound == 7
         assert out.refuting_specialization == 1
+
+    def test_witness_at_degree_nine_builds_only_length_three_rows(self, monkeypatch):
+        corpus = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+        pres = presentation_from_json(json.loads((corpus / "strange.json").read_text()))
+        T = ncpoly_from_json(json.loads((corpus / "T.json").read_text()), pres.n)
+        rows = _record_rows(monkeypatch)
+        out = torsion_check(pres, T, HPoly([1, -1]), 9)
+        assert out.status == "witness"
+        assert out.refuting_specialization == 1
+        assert len(rows) == _rows_built(pres, 9, out.h_degree_bound, {3})
 
     def test_constant_factor_refuted(self, strange_presentation):
         T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})

@@ -141,11 +141,13 @@ def _linear_factors():
 @given(st.lists(_linear_factors(), max_size=3), sts.nonzero_hpolys(),
        st.integers(1, 2), st.integers(0, 2))
 @example([], HPoly([Fraction(1, 3), 2, 0, -1]), 1, 1)
+@example([HPoly([-1, 2])], HPoly([3, 0, -2]), 1, 0)
 @settings(max_examples=150, deadline=None)
 def test_rational_roots_matches_divisor_enumeration(factors, cofactor, power, h_power):
     """Sturm isolation against the rational root test, repeated roots and
-    the root 0 included.  The explicit example has an irrational root within
-    1/(2 L^2) of the rational root 0, whose nearest fraction is 0 itself."""
+    the root 0 included.  The first explicit example has an irrational root
+    within 1/(2 L^2) of the rational root 0, whose nearest fraction is 0
+    itself; the second has a negative leading coefficient."""
     p = cofactor * HPoly.h(h_power)
     for f in factors:
         for _ in range(power):
