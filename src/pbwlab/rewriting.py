@@ -3,20 +3,22 @@
 The relations x_i x_j - x_j x_i - phi_ij are oriented into rewrite rules by
 solving each for its deglex-largest word (x_1 < ... < x_n, degree first).
 `complete` resolves every overlap ambiguity whose overlap word has degree at
-most D, in increasing degree, FIFO within a degree; dimensions and membership
-answers are then certified through degree D - 1.  Coefficients live either in
-Q (at a specialization h = a) or in the rational-function field Q(h); in the
-generic mode every polynomial inverted while normalizing a rule is recorded,
-since its roots are the specializations at which the completed system may
+most D, in increasing degree: at h = a all the ambiguities of one degree as
+one batch, over Q(h) one at a time; dimensions and membership answers are
+then certified through degree D - 1.  Coefficients live either in Q (at a
+specialization h = a) or in the rational-function field Q(h); in the generic
+mode every polynomial inverted while normalizing a rule is recorded, since
+its roots are the specializations at which the completed system may
 degenerate.
 
 Completion stays in the `Ring` whose field of fractions holds the coefficients,
 Z at h = a and Q[h] over Q(h).  A rule is only a primitive row lead -> (E,
 [(word, r)]), tail sum(r * word) / E; overlap differences come from the rows,
-normal forms run over one common denominator, and a new rule is the primitive
-row of a normal form.  Intermediate rules can carry coefficients of tens of
-thousands of bits, where field arithmetic would pay a gcd for every product
-and sum.  `rules` derives the Fraction or HRat tails from the rows.
+normal forms run over one common denominator, and new rules are the primitive
+rows of normal forms, at h = a after a fraction-free echelon step over the
+whole batch.  Intermediate rules still carry coefficients of hundreds of
+bits, where field arithmetic would pay a gcd for every product and sum.
+`rules` derives the Fraction or HRat tails from the rows.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -210,6 +212,14 @@ class RewriteSystem:
         """Normal form of p with respect to the current rules."""
         return NCPoly.adopt(self.n, self.reduce_dict(self.ring.field_poly(p, self.a)))
 
+    def _retire(self, lead: Word) -> list:
+        """Drop the rules whose leads contain lead; their polynomials (den, terms)."""
+        out = []
+        for u in [u for u in self._rows if len(u) > len(lead) and _contains(u, lead)]:
+            scale, row = self._drop_rule(u)
+            out.append((scale, {**{w: -c for w, c in row}, u: scale}))
+        return out
+
     def _add_poly(self, den, terms: TermDict, queue) -> None:
         """Install the normal form of terms / den as a rule; rules whose leads
         contain the new lead are retired and their polynomials reduced again."""
@@ -223,19 +233,69 @@ class RewriteSystem:
             lc = current.pop(lead)
             self._note_inversion(ring.inverted(lc, den))
             scale, row = ring.primitive_row(lc, [-c for c in current.values()])
-            doomed = [u for u in self._rows if len(u) > len(lead) and _contains(u, lead)]
-            for u in doomed:
-                old_scale, old_row = self._drop_rule(u)
-                requeued = {w: -c for w, c in old_row}
-                requeued[u] = old_scale
-                stack.append((old_scale, requeued))
+            stack += self._retire(lead)
             self._set_rule(lead, scale, list(zip(current, row)))
             if queue is not None:
                 queue.push_overlaps(lead, self._rows)
 
+    def _add_batch(self, polys: list, queue) -> list:
+        """Install the polynomials (den, terms) together, in Z: one rule per pivot
+        of the fraction-free reduced echelon form of their normal forms, over
+        `_deglex_rank` columns.  Returns the polynomials of the retired rules and
+        of the pivots whose leads contain another pivot's lead."""
+        n, words, pivots = self.n, {}, {}
+        for den, terms in polys:
+            nf = self.reduce_ring(den, terms)[1]
+            cols = {_deglex_rank(w, n): w for w in nf}
+            words.update(cols)
+            _echelon_insert(pivots, {col: nf[w] for col, w in cols.items()})
+        for top in sorted(pivots):  # reduced echelon form: lower pivots are reduced already
+            for col in [c for c in pivots[top] if c != top and c in pivots]:
+                pivots[top] = _eliminate(pivots[top], pivots[col], col)
+        leads, carry = [words[top] for top in pivots], []
+        for top, row in sorted(pivots.items()):
+            lead = words[top]
+            if any(len(other) < len(lead) and _contains(lead, other) for other in leads):
+                carry.append((1, {words[col]: c for col, c in row.items()}))
+                continue
+            scale, nums = self.ring.primitive_row(row.pop(top), [-c for c in row.values()])
+            carry += self._retire(lead)
+            self._set_rule(lead, scale, list(zip(map(words.get, row), nums)))
+            queue.push_overlaps(lead, self._rows)
+        return carry
+
+    def _overlap(self, left: Word, right: Word, k: int) -> tuple:
+        """(den, terms) of the difference of the two rewrites of the overlap
+        word left + right[k:], over den = E_l * E_r / gcd(E_l, E_r); no terms
+        when either rule has been retired."""
+        if left not in self._rows or right not in self._rows:
+            return self.ring.unit, {}
+        (e_left, row_left), (e_right, row_right) = self._rows[left], self._rows[right]
+        suffix, prefix = right[k:], left[:len(left) - k]
+        if e_left == e_right:
+            p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in row_left))
+            add_terms(p1, ((prefix + tw, -tc) for tw, tc in row_right))
+            return e_left, p1
+        g = self.ring.gcd(e_left, e_right)
+        m_left, m_right = e_right // g, -(e_left // g)
+        p1 = add_terms({}, ((tw + suffix, tc * m_left) for tw, tc in row_left))
+        add_terms(p1, ((prefix + tw, tc * m_right) for tw, tc in row_right))
+        return e_left * m_left, p1
+
     # -- completion --------------------------------------------------------
     def complete(self, degree: int) -> "RewriteSystem":
         """Resolve all overlap ambiguities of overlap-word degree <= degree.
+
+        At h = a the pending ambiguities of the lowest overlap degree form one
+        batch, installed together by `_add_batch`; one at a time, each new rule
+        is reduced by the previous one and the coefficients swell (to tens of
+        thousands of bits on the cascading fixture).  The order cannot change
+        the result: over a field, the span of the final rules through the
+        degree is the smallest space that holds the relations and x * f and
+        f * x for each of its elements f with a leading word shorter than the
+        degree, and that span fixes the reduced rules.  Over Q(h) `excluded`
+        depends on the order, so each ambiguity is installed alone through
+        `_add_poly`, FIFO within a degree.
 
         Calling again with a larger degree resumes: ambiguities already
         resolved at the previous bound are not reprocessed, so deepening an
@@ -249,24 +309,13 @@ class RewriteSystem:
         queue = _AmbiguityQueue(degree, self._resolved)
         for lead in list(self._rows):
             queue.push_overlaps(lead, self._rows)
-        while queue.heap:
-            left, right, k = queue.pop()
-            if left not in self._rows or right not in self._rows:
-                continue
-            # overlap word left + right[k:]: the difference of the two rewrites
-            # over the denominator E_l * E_r / gcd(E_l, E_r)
-            (e_left, row_left), (e_right, row_right) = self._rows[left], self._rows[right]
-            suffix, prefix = right[k:], left[:len(left) - k]
-            if e_left == e_right:
-                p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in row_left))
-                add_terms(p1, ((prefix + tw, -tc) for tw, tc in row_right))
+        carry = []
+        while queue.heap or carry:
+            if ring is INTEGERS:
+                carry += [self._overlap(*amb) for amb in queue.pop_degree()]
+                carry = self._add_batch(carry, queue)
             else:
-                g = ring.gcd(e_left, e_right)
-                m_left, m_right = e_right // g, -(e_left // g)
-                p1 = add_terms({}, ((tw + suffix, tc * m_left) for tw, tc in row_left))
-                add_terms(p1, ((prefix + tw, tc * m_right) for tw, tc in row_right))
-            if p1:
-                self._add_poly(e_left if e_left == e_right else e_left * m_left, p1, queue)
+                self._add_poly(*self._overlap(*queue.pop()), queue)
         for lead in list(self._rows):
             scale, row = self._drop_rule(lead)
             den, tail = self.reduce_ring(scale, dict(row))
@@ -354,6 +403,14 @@ class _AmbiguityQueue:
     def pop(self):
         _, _, left, right, k = heapq.heappop(self.heap)
         return left, right, k
+
+    def pop_degree(self) -> list:
+        """Every pending ambiguity of the lowest overlap degree, FIFO."""
+        degree = self.heap[0][0] if self.heap else None
+        batch = []
+        while self.heap and self.heap[0][0] == degree:
+            batch.append(self.pop())
+        return batch
 
 
 def build_rules(p: Presentation, mode: str, a: Optional[Fraction] = None) -> RewriteSystem:
@@ -509,27 +566,30 @@ def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
     return [(w, k, v // content) for (w, k, _), v in zip(cells, ints)]
 
 
-def _echelon_reduce(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, int]:
-    """Cancel the leading column of row against the pivots until none matches.
+def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int, int]:
+    """row * (lc / g) - pivot * (f / g) over its content, f and lc the entries
+    at col and g = gcd(f, lc): integers, kept small.  row may change in place."""
+    f, lc = row[col], pivot[col]
+    g = gcd(f, lc)
+    a, b = lc // g, f // g
+    if a != 1:
+        row = {c: value * a for c, value in row.items()}
+    add_terms(row, ((c, -b * value) for c, value in pivot.items()))
+    content = gcd(*row.values())
+    if content > 1:
+        row = {c: value // content for c, value in row.items()}
+    return row
 
-    Pivots are primitive; row * (lc / g) - pivot * (f / g) with g = gcd(lc, f)
-    keeps every entry an integer, and dividing out the content after each
-    step keeps the entries small.  row may be updated in place.
-    """
+
+def _echelon_reduce(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, int]:
+    """Cancel the leading column of row against the pivots until none
+    matches.  row may be updated in place."""
     while row:
         top = max(row)
         pivot = pivots.get(top)
         if pivot is None:
             return row
-        f, lc = row[top], pivot[top]
-        g = gcd(f, lc)
-        a, b = lc // g, f // g
-        if a != 1:
-            row = {col: value * a for col, value in row.items()}
-        add_terms(row, ((col, -b * value) for col, value in pivot.items()))
-        content = gcd(*row.values())
-        if content > 1:
-            row = {col: value // content for col, value in row.items()}
+        row = _eliminate(row, pivot, top)
     return row
 
 

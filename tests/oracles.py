@@ -26,6 +26,8 @@ def words_up_to(n, max_len):
 
 
 def _echelon_insert(pivots, row):
+    """Add row's remainder as a pivot scaled to a leading 1; its leading word,
+    or None when row lies in the span already."""
     row = {w: c for w, c in row.items() if c}
     while row:
         top = max(row, key=deglex_key)
@@ -33,7 +35,7 @@ def _echelon_insert(pivots, row):
         if pivot is None:
             lc = row[top]
             pivots[top] = {w: c / lc for w, c in row.items()}
-            return
+            return top
         factor = row[top]
         for w, c in pivot.items():
             acc = row.get(w, Fraction(0)) - factor * c
@@ -66,6 +68,41 @@ def span_dims(pres: Presentation, a, K: int, margin: int = 2):
                 _echelon_insert(pivots, row)
     per_degree = Counter(len(w) for w in pivots)
     return [n ** k - per_degree[k] for k in range(K + 1)]
+
+
+def closure_pivots(pres: Presentation, a, D: int):
+    """Leading words of the smallest space of polynomials of degree <= D that
+    holds the relation multiples u * r * v at h = a and, with every f whose
+    leading word is shorter than D, x * f and f * x for every letter x.
+
+    The multiples are row-reduced over Fractions; then every pivot row with a
+    leading word shorter than D is multiplied by each letter on either side
+    and reduced in turn, until no new pivot appears.  The pivot rows span the
+    space, and an element whose leading word is shorter than D combines only
+    pivot rows with shorter leading words, so the space is then closed."""
+    n = pres.n
+    pivots = {}
+    for pair in pres.pairs():
+        rel = specialize(pres.relation(*pair), a)
+        if not rel.terms:
+            continue
+        top = rel.deg_x()
+        for u in words_up_to(n, D - top):
+            for v in words_up_to(n, D - top - len(u)):
+                _echelon_insert(pivots, {u + w + v: c for w, c in rel.terms.items()})
+    fresh = [w for w in pivots if len(w) < D]
+    while fresh:
+        grown = []
+        for top in fresh:
+            row = pivots[top]
+            for x in range(1, n + 1):
+                for product_row in ({(x,) + w: c for w, c in row.items()},
+                                    {w + (x,): c for w, c in row.items()}):
+                    new = _echelon_insert(pivots, product_row)
+                    if new is not None and len(new) < D:
+                        grown.append(new)
+        fresh = grown
+    return set(pivots)
 
 
 def quadratic_residue_bruteforce(data: QuadData, i: int, j: int, k: int) -> NCPoly:

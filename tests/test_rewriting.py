@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import (module_membership_reference, normal_form_reference,
-                     words_up_to)
+from oracles import (closure_pivots, module_membership_reference,
+                     normal_form_reference, words_up_to)
 from pbwlab import rewriting
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
@@ -311,11 +312,17 @@ def _rows_built(pres, max_word_degree, max_h_degree, lengths):
 
 
 def _record_rows(monkeypatch):
-    """The list of rows handed to `_echelon_insert` from now on."""
+    """The list of rows that `module_membership` hands to `_echelon_insert` from
+    now on; completion at h = a row-reduces through it too."""
     rows = []
     insert = rewriting._echelon_insert
-    monkeypatch.setattr(rewriting, "_echelon_insert",
-                        lambda pivots, row: (rows.append(row), insert(pivots, row)))
+
+    def recording(pivots, row):
+        if sys._getframe(1).f_code is module_membership.__code__:
+            rows.append(row)
+        return insert(pivots, row)
+
+    monkeypatch.setattr(rewriting, "_echelon_insert", recording)
     return rows
 
 
@@ -391,9 +398,9 @@ def _hrat_corpus_presentations():
     return [presentation_from_json({"potential": entry["potential"]}) for entry in doc]
 
 
-def _recorded_reductions(system, degree):
+def _recorded_reductions(system, run):
     """(rules, their largest coefficient bit size, terms, normal form) of every
-    ring-level normal form taken while completing to degree, in field values."""
+    ring-level normal form taken while run() completes system, in field values."""
     calls = []
     reduce_ring = system.reduce_ring
     to_field = system.ring.to_field
@@ -407,9 +414,93 @@ def _recorded_reductions(system, degree):
         return out_den, out
 
     system.reduce_ring = recording
-    system.complete(degree)
+    run()
     del system.reduce_ring
     return calls
+
+
+def _sequential_complete(system, degree):
+    """Completion one ambiguity at a time, the reference for the batched one at
+    h = a: in overlap degree order, FIFO within a degree, each overlap
+    difference is built from the rows as they stand and installed through
+    `_add_poly` before the next is built; then every tail is reduced."""
+    queue = rewriting._AmbiguityQueue(degree, system._resolved)
+    for lead in list(system._rows):
+        queue.push_overlaps(lead, system._rows)
+    while queue.heap:
+        system._add_poly(*system._overlap(*queue.pop()), queue)
+    for lead in list(system._rows):
+        scale, row = system._drop_rule(lead)
+        den, tail = system.reduce_ring(scale, dict(row))
+        scale, nums = system.ring.primitive_row(den, list(tail.values()))
+        system._set_rule(lead, scale, list(zip(tail, nums)))
+    system.degree_bound = degree
+    system.complete_through = degree - 1
+    return system
+
+
+def _mixed_fixtures():
+    """The benchmark's inhomogeneous presentations, each with its point h = a."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+                      / "mixed.json").read_text())
+    return [(presentation_from_json(entry["presentation"]), Fraction(entry["at"]))
+            for entry in doc]
+
+
+def _row_map(system):
+    return {lead: (scale, dict(row)) for lead, (scale, row) in system._rows.items()}
+
+
+def test_batched_completion_matches_sequential():
+    """At h = a, resolving an overlap degree as one echelon batch leaves the
+    rules of the one-at-a-time completion, row for row, at every depth."""
+    rng = random.Random(20139)
+    cases = []
+    for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-5, 3)):
+        cases += [(_random_presentation(rng, 2 if case % 2 else 3), a) for case in range(8)]
+    cases += _mixed_fixtures()
+    cases += [(_cascading_presentation(), a) for a in (Fraction(1), Fraction(1, 2), Fraction(3))]
+    compared = changed = 0
+    for pres, a in cases:
+        try:
+            batched, sequential = build_rules(pres, "at", a), build_rules(pres, "at", a)
+        except BadSpecialization:
+            continue
+        for degree in range(3, 7):
+            before = _row_map(batched)
+            batched.complete(degree)
+            _sequential_complete(sequential, degree)
+            assert _row_map(batched) == _row_map(sequential), (a, degree)
+            assert batched.complete_through == sequential.complete_through == degree - 1
+            compared += 1
+            changed += _row_map(batched) != before
+    assert compared >= 120 and changed >= 40
+
+
+def _reducible_words(system, degree):
+    leads = set(system._rows)
+    return {w for w in words_up_to(system.n, degree)
+            if any(w[i:j] in leads for i in range(len(w) + 1) for j in range(i, len(w) + 1))}
+
+
+def test_closure_pivots_are_the_reducible_words():
+    """The words up to degree D that contain a rule lead after complete(D) are
+    the leading words of the independent closure of the relation multiples."""
+    rng = random.Random(20140)
+    cases = []
+    for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-5, 3)):
+        cases += [(_random_presentation(rng, 2 if case % 2 else 3), a, 3 + case % 2)
+                  for case in range(6)]
+    cases.append((_cascading_presentation(), Fraction(1, 2), 5))
+    checked = 0
+    for pres, a, degree in cases:
+        try:
+            system = build_rules(pres, "at", a).complete(degree)
+        except BadSpecialization:
+            continue
+        assert _reducible_words(system, degree) == closure_pivots(pres, a, degree), (a, degree)
+        checked += 1
+    assert checked >= 20
 
 
 def test_reduce_dict_matches_rescan_reference():
@@ -433,15 +524,26 @@ def test_reduce_dict_matches_rescan_reference():
                 expected = normal_form_reference(system.rules, terms)
                 assert got == expected and list(got) == list(expected), (a, case, terms)
                 cases += 1
-    # the cascading fixture between degree 4 and 5: rules with swollen coefficients
-    system = build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(4)
+    # the cascading fixture between degree 4 and 5, one ambiguity at a time:
+    # rules with swollen coefficients
+    system = _sequential_complete(build_rules(_cascading_presentation(), "at", Fraction(1, 2)), 4)
     swollen = 0
-    for rules, bits, terms, got in _recorded_reductions(system, 5):
+    for rules, bits, terms, got in _recorded_reductions(
+            system, lambda: _sequential_complete(system, 5)):
         expected = normal_form_reference(rules, terms)
         assert got == expected and list(got) == list(expected)
         swollen += bits > 1000
         cases += 1
     assert swollen >= 10
+    # the same step batched by degree never holds a swollen rule
+    system = build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(4)
+    batched = _recorded_reductions(system, lambda: system.complete(5))
+    for rules, bits, terms, got in batched:
+        expected = normal_form_reference(rules, terms)
+        assert got == expected and list(got) == list(expected)
+        assert bits <= 1000
+        cases += 1
+    assert len(batched) >= 10
     generic = [(case, build_rules(_random_presentation(rng, 2 if case % 2 else 3), "generic"))
                for case in range(6)]
     for case, system in generic:
@@ -450,7 +552,7 @@ def test_reduce_dict_matches_rescan_reference():
     # coefficients, from every overlap difference on
     for case, pres in enumerate(_hrat_corpus_presentations(), start=len(generic)):
         system = build_rules(pres, "generic")
-        for rules, _, terms, got in _recorded_reductions(system, 5):
+        for rules, _, terms, got in _recorded_reductions(system, lambda: system.complete(5)):
             expected = normal_form_reference(rules, terms)
             assert got == expected and list(got) == list(expected), (case, terms)
             cases += 1
@@ -489,10 +591,24 @@ def _assert_rows_primitive(system):
             assert scale.lead == 1 and content == HPoly.one(), lead
 
 
+def _complete_checking_rows(system, degree):
+    """complete(degree), checking every row before each normal form it takes,
+    so that rows installed mid-completion are checked as well as the final ones."""
+    reduce_ring = system.reduce_ring
+
+    def checking(den, terms):
+        _assert_rows_primitive(system)
+        return reduce_ring(den, terms)
+
+    system.reduce_ring = checking
+    system.complete(degree)
+    del system.reduce_ring
+
+
 def test_rule_rows_stay_primitive():
-    """Rows after every build_rules and complete: seeded presentations at h = a,
-    the corpus potentials over Q(h), and the cascading fixture's swollen
-    completion at h = 1/2."""
+    """Rows after every build_rules and complete, and while completing:
+    seeded presentations at h = a, the mixed fixtures at their points, the
+    corpus potentials over Q(h), and the cascading fixture at h = 1/2 and 3."""
     rng = random.Random(20136)
     systems = []
     for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-5, 3)):
@@ -502,17 +618,19 @@ def test_rule_rows_stay_primitive():
             except BadSpecialization:
                 continue
             systems.append((system, (3, 4)))
+    systems += [(build_rules(pres, "at", a), (3, 4, 5)) for pres, a in _mixed_fixtures()]
     systems += [(build_rules(pres, "generic"), (3, 4, 5))
                 for pres in _hrat_corpus_presentations()]
-    systems.append((build_rules(_cascading_presentation(), "at", Fraction(1, 2)), (3, 4, 5)))
+    systems += [(build_rules(_cascading_presentation(), "at", a), (3, 4, 5))
+                for a in (Fraction(1, 2), Fraction(3))]
     non_trivial = 0
     for system, degrees in systems:
         _assert_rows_primitive(system)
         for degree in degrees:
-            system.complete(degree)
+            _complete_checking_rows(system, degree)
             _assert_rows_primitive(system)
         non_trivial += any(scale != system.ring.unit for scale, _ in system._rows.values())
-    assert len(systems) >= 40 and non_trivial >= 10
+    assert len(systems) >= 50 and non_trivial >= 10
 
 
 class TestReduceEdgeCases:
