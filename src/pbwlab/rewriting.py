@@ -12,8 +12,9 @@ its roots are the specializations at which the completed system may
 degenerate.
 
 Completion stays in the `Ring` whose field of fractions holds the coefficients,
-Z at h = a and Q[h] over Q(h).  A rule is only a primitive row lead -> (E,
-[(word, r)]), tail sum(r * word) / E; overlap differences come from the rows,
+Z at h = a and Z[h] over Q(h), both integer arithmetic without a Fraction.  A
+rule is only a primitive row lead -> (E, [(word, r)]), tail sum(r * word) / E,
+E positive (a positive lead in Z[h]); overlap differences come from the rows,
 normal forms run over one common denominator, and new rules are the primitive
 rows of normal forms, at h = a after a fraction-free echelon step over the
 whole batch.  Intermediate rules still carry coefficients of hundreds of
@@ -35,7 +36,7 @@ import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -43,8 +44,8 @@ from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, add_terms, deglex_key, specialize
 from .presentations import Presentation
-from .scalars import (HPoly, HRat, clear_denominators, clear_hrat_denominators,
-                      hpoly_gcd, rational_roots)
+from .scalars import (HPoly, HRat, _ZPoly, _zpoly_gcd, clear_denominators,
+                      clear_hrat_denominators, rational_roots)
 
 TermDict = Dict[Word, object]
 
@@ -55,9 +56,10 @@ class Ring(namedtuple("Ring", "unit gcd clear to_field field_poly primitive_row 
     clear(values) is (d, nums) over one denominator d, to_field(v, d) is v / d,
     field_poly(p, a) the field terms of p (at h = a over Q), and primitive_row(d,
     values) is (d / c, [v / c]) for c the gcd of d and the values, scaled so that
-    d / c is positive in Z and monic in Q[h].  inverted(lc, d) is the monic
-    numerator of lc / d when it has a root (None in Z): the polynomial that a
-    rule with lead coefficient lc / d inverts."""
+    d / c is positive in Z and has a positive lead in Z[h]; clear returns that
+    primitive form already.  inverted(lc, d) is the monic numerator of lc / d
+    when it has a root (None in Z): the polynomial that a rule with lead
+    coefficient lc / d inverts."""
 
 
 def _primitive_int_row(den: int, values: list) -> tuple:
@@ -65,27 +67,41 @@ def _primitive_int_row(den: int, values: list) -> tuple:
     return den // content, [v // content for v in values]
 
 
-def _primitive_hpoly_row(den: HPoly, values: list) -> tuple:
-    g = den.monic()
-    for v in values:
-        if not g.degree:
-            break
-        g = hpoly_gcd(g, v)
-    content = g * den.lead
-    return den // content, [v // content for v in values]
+def _clear_zpolys(values) -> tuple:
+    """(d, nums), Q(h) values over one Z[h] denominator d with a positive lead.
+    Primitive: both the Q[h] and the Z clearing of reduced fractions are."""
+    den, nums = clear_hrat_denominators(values)
+    ints = iter(clear_denominators([c for p in (den, *nums) for c in p.coeffs])[1])
+    den, *nums = [_ZPoly(islice(ints, len(p.coeffs))) for p in (den, *nums)]
+    return den, nums
 
 
-def _inverted_hpoly(lc: HPoly, den: HPoly) -> Optional[HPoly]:
-    num = lc // hpoly_gcd(lc, den) if den.degree > 0 else lc
-    return num.monic() if num.degree >= 1 else None
+def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:
+    g = den if den[-1] > 0 else -den
+    for v in values:  # once g is a unit, each value costs a few integer gcds
+        g = _zpoly_gcd(g, v)
+    g = g if den[-1] > 0 else -g
+    return (den, values) if g == (1,) else (den // g, [v // g for v in values])
+
+
+def _zpoly_to_field(v: _ZPoly, d: _ZPoly) -> HRat:
+    if len(d) == 1:  # no gcd to take, and the Fractions reduce as they are built
+        return HRat(HPoly([Fraction(c, d[0]) for c in v]))
+    return HRat(HPoly(v), HPoly(d))
+
+
+def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
+    num = lc // _zpoly_gcd(lc, den) if len(den) > 1 else lc
+    return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
 
 
 INTEGERS = Ring(1, gcd, clear_denominators, Fraction,
                 lambda poly, a: specialize(poly, a).terms,
                 _primitive_int_row, lambda lc, den: None)
-HPOLYS = Ring(HPoly.one(), hpoly_gcd, clear_hrat_denominators, HRat,
+ZPOLYS = Ring(_ZPoly((1,)), _zpoly_gcd, _clear_zpolys,
+              _zpoly_to_field,
               lambda poly, a: poly.with_hrat_coeffs().terms,
-              _primitive_hpoly_row, _inverted_hpoly)
+              _primitive_zpoly_row, _inverted_zpoly)
 
 
 class RewriteSystem:
@@ -99,7 +115,7 @@ class RewriteSystem:
         self.n = p.n
         self.mode = mode
         self.a = a
-        self.ring = INTEGERS if mode == "at" else HPOLYS
+        self.ring = INTEGERS if mode == "at" else ZPOLYS
         self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
         self.degree_bound: Optional[int] = None

@@ -6,6 +6,8 @@ coefficient tuple lowest power first with trailing zeros stripped.  `HRat`
 is the fraction field of `HPoly`, kept in canonical form: numerator and
 denominator coprime, denominator monic and nonzero.  `clear_denominators` and
 `clear_hrat_denominators` put values of Q and Q(h) over one denominator in Z and Q[h].
+`_ZPoly`, a bare tuple of ints, is a polynomial over Z for the generic completion
+ring Z[h]; `hpoly_gcd` is the monic form of its gcd `_zpoly_gcd`.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -13,6 +15,7 @@ Everything here is immutable and hashable, so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable
 
@@ -135,13 +138,8 @@ class HPoly:
         # convolve integer coefficient lists; one division per coefficient at the end
         da, xs = clear_denominators(self.coeffs)
         db, ys = clear_denominators(o.coeffs)
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    out[i + j] += x * y
         den = da * db
-        return HPoly([Fraction(v, den) for v in out])
+        return HPoly([Fraction(v, den) for v in _convolve(xs, ys)])
 
     __rmul__ = __mul__
 
@@ -182,14 +180,6 @@ class HPoly:
             raise ValueError("inexact polynomial division")
         return q
 
-    def monic(self) -> "HPoly":
-        if not self:
-            return self
-        lc = self.lead
-        if lc == 1:
-            return self
-        return HPoly(tuple(c / lc for c in self.coeffs))
-
     def eval(self, a) -> Fraction:
         """Evaluate at hbar = a by Horner's rule."""
         a = _as_fraction(a)
@@ -214,6 +204,16 @@ class HPoly:
 
     def __str__(self):
         return format_hpoly(self)
+
+
+def _convolve(xs, ys) -> list:
+    """Coefficients of the product of two nonzero integer coefficient sequences."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+    return out
 
 
 def clear_denominators(values) -> tuple:
@@ -256,16 +256,71 @@ def _primitive_pseudo_rem(a: list, b: list) -> list:
     return [c // content for c in a] if content else []
 
 
+class _ZPoly(tuple):
+    """Polynomial in hbar over Z: a tuple of ints, lowest power first, without
+    trailing zeros (build it from a list that has none).  `//` is exact
+    division in Z[h] and raises ValueError on a remainder."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = [x + y for x, y in zip_longest(self, other, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return _ZPoly(out)
+
+    def __neg__(self):
+        return _ZPoly([-c for c in self])
+
+    def __mul__(self, other):
+        if not self or not other:
+            return _ZPoly()
+        if len(other) == 1:
+            b = other[0]
+            return _ZPoly([c * b for c in self])
+        return _ZPoly(_convolve(self, other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        d, lc = len(other) - 1, other[-1]
+        rem, quo = list(self), [0] * max(len(self) - d, 0)
+        for shift in range(len(quo) - 1, -1, -1):
+            quo[shift], r = divmod(rem[shift + d], lc)
+            if r:
+                raise ValueError("inexact polynomial division")
+            for i, c in enumerate(other):
+                rem[shift + i] -= quo[shift] * c
+        if any(rem[:d]):
+            raise ValueError("inexact polynomial division")
+        return _ZPoly(quo)
+
+
+def _zpoly_gcd(a: _ZPoly, b: _ZPoly) -> _ZPoly:
+    """Greatest common divisor in Z[h], with a positive lead: the gcd of the
+    integer contents times the primitive gcd of the primitive parts (Gauss's
+    lemma), the latter by a primitive remainder sequence; gcd(0, 0) = 0."""
+    if not a or not b:
+        g = a or b
+        return g if not g or g[-1] > 0 else -g
+    ca, cb = gcd(*a), gcd(*b)
+    content = gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return _ZPoly((content,))
+    pa, pb = [c // ca for c in a], [c // cb for c in b]
+    while pb:
+        pa, pb = pb, _primitive_pseudo_rem(pa, pb)
+    if pa[-1] < 0:
+        content = -content
+    return _ZPoly([c * content for c in pa])
+
+
 def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
-    """Monic greatest common divisor via a primitive remainder sequence; gcd(0, 0) = 0."""
-    ca = _content_split(a.coeffs)[1] if a else []
-    cb = _content_split(b.coeffs)[1] if b else []
-    while cb:
-        ca, cb = cb, _primitive_pseudo_rem(ca, cb)
-    if not ca:
-        return HPoly.zero()
-    lead = ca[-1]
-    return HPoly([Fraction(c, lead) for c in ca])
+    """Monic greatest common divisor: the monic form of `_zpoly_gcd`; gcd(0, 0) = 0."""
+    g = _zpoly_gcd(*(_ZPoly(clear_denominators(p.coeffs)[1]) for p in (a, b)))
+    return HPoly([Fraction(c, g[-1]) for c in g]) if g else HPoly.zero()
 
 
 def clear_hrat_denominators(values) -> tuple:
@@ -294,9 +349,9 @@ def rational_roots(p: HPoly) -> list:
     """
     if not p or p.is_constant():
         return []
-    repeated = hpoly_gcd(p, HPoly([k * c for k, c in enumerate(p.coeffs)][1:]))
-    square_free = p // repeated if repeated.degree > 0 else p
-    ints = _content_split(square_free.coeffs)[1]
+    # the square-free part: with p primitive and of positive lead, so are gcd(p, p') and p / gcd
+    prim = _ZPoly(_content_split(p.coeffs)[1])
+    ints = list(prim // _zpoly_gcd(prim, _ZPoly([k * c for k, c in enumerate(prim)][1:])))
     lead = ints[-1]
     chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
     while len(chain[-1]) > 1:
@@ -344,33 +399,32 @@ class HRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        over = None
         if isinstance(num, HRat):
-            base_num, base_den = num.num, num.den
-        else:
-            base_num = num if isinstance(num, HPoly) else HPoly.const(num)
-            base_den = HPoly.one()
-        if den is not None:
-            if isinstance(den, HRat):
-                base_num = base_num * den.den
-                base_den = base_den * den.num
-            else:
-                d = den if isinstance(den, HPoly) else HPoly.const(den)
-                base_den = base_den * d
-        if not base_den:
+            num, over = num.num, num.den
+        elif not isinstance(num, HPoly):
+            num = HPoly.const(num)
+        if isinstance(den, HRat):
+            num, den = num * den.den, den.num
+        elif den is not None and not isinstance(den, HPoly):
+            den = HPoly.const(den)
+        if over is not None:
+            den = over if den is None else over * den
+        elif den is None:
+            den = HPoly.one()
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if not base_num:
-            base_num, base_den = HPoly.zero(), HPoly.one()
-        else:
-            g = hpoly_gcd(base_num, base_den) if base_den.degree > 0 else base_den
-            if g.degree > 0:  # a constant denominator shares no factor with base_num
-                base_num = base_num // g
-                base_den = base_den // g
-            lc = base_den.lead
-            if lc != 1:
-                base_num = base_num * (1 / lc)
-                base_den = base_den * (1 / lc)
-        object.__setattr__(self, "num", base_num)
-        object.__setattr__(self, "den", base_den)
+        if not num:
+            num, den = HPoly.zero(), HPoly.one()
+        elif den.degree > 0:  # a constant denominator shares no factor with num
+            g = hpoly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        lc = den.lead
+        if lc != 1:  # divide by the lead directly
+            num, den = HPoly([c / lc for c in num.coeffs]), HPoly([c / lc for c in den.coeffs])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("HRat is immutable")

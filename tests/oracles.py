@@ -7,13 +7,13 @@ from plain dict products.  Disagreement with the library is a
 build failure, not a tolerance question.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
 from pbwlab.freealg import NCPoly, deglex_key, specialize
 from pbwlab.presentations import Presentation, QuadData
-from pbwlab.scalars import HPoly, clear_denominators
+from pbwlab.scalars import HPoly, HRat, clear_denominators, clear_hrat_denominators
 
 
 def words_up_to(n, max_len):
@@ -200,6 +200,43 @@ def hpoly_divmod_reference(p: HPoly, d: HPoly):
         for i, c in enumerate(d.coeffs):
             rem[shift + i] -= factor * c
     return HPoly(quo), HPoly(rem[:deg])
+
+
+def monic_reference(p: HPoly) -> HPoly:
+    """p divided by its leading coefficient; 0 for 0."""
+    return HPoly([c / p.lead for c in p.coeffs]) if p else p
+
+
+def hpoly_gcd_reference(a: HPoly, b: HPoly) -> HPoly:
+    """Monic gcd by the Euclidean algorithm in Fractions; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, hpoly_divmod_reference(a, b)[1]
+    return monic_reference(a)
+
+
+def _primitive_hpoly_row(den: HPoly, values: list) -> tuple:
+    g = monic_reference(den)
+    for v in values:
+        if not g.degree:
+            break
+        g = hpoly_gcd_reference(g, v)
+    content = g * den.lead
+    return den // content, [v // content for v in values]
+
+
+def _inverted_hpoly(lc: HPoly, den: HPoly):
+    num = lc // hpoly_gcd_reference(lc, den) if den.degree > 0 else lc
+    return monic_reference(num) if num.degree >= 1 else None
+
+
+# The generic completion ring over Q[h]: rows lead -> (E, row) with E monic
+# and gcd(E, row) = 1 in Q[h], every gcd a Euclidean one in Fractions.  It has
+# the fields of `pbwlab.rewriting.Ring`, so a RewriteSystem built with it in
+# place of the Z[h] ring completes the same system in other arithmetic.
+QhRing = namedtuple("QhRing", "unit gcd clear to_field field_poly primitive_row inverted")
+QH_RING = QhRing(HPoly.one(), hpoly_gcd_reference, clear_hrat_denominators, HRat,
+                 lambda poly, a: poly.with_hrat_coeffs().terms,
+                 _primitive_hpoly_row, _inverted_hpoly)
 
 
 def rational_roots_reference(p: HPoly):

@@ -311,3 +311,20 @@ def test_frozen_reports_replay_byte_identically(capsys, monkeypatch, entry):
     code, out, _ = run_cli(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out == entry["stdout"]
+
+
+HRAT = {e["name"]: e["potential"]
+        for e in json.loads((REPO / "benchmarks" / "corpus" / "hrat.json").read_text())}
+HRAT_FROZEN = json.loads((REPO / "tests" / "data" / "hrat_generic_expected.json").read_text())
+
+
+@pytest.mark.parametrize("entry", HRAT_FROZEN, ids=lambda e: e["name"])
+def test_hrat_generic_reports_replay_byte_identically(capsys, monkeypatch, tmp_path, entry):
+    """`hilbert --generic --degree 4 --format json` on each corpus potential, as
+    frozen from the completion over Q[h]: the excluded polynomials, in order,
+    are field quantities that the ring a completion reduces in must not move."""
+    (tmp_path / f"{entry['name']}.json").write_text(json.dumps({"potential": HRAT[entry["name"]]}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out == entry["stdout"]

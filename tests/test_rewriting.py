@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import (closure_pivots, module_membership_reference,
-                     normal_form_reference, words_up_to)
+from oracles import (QH_RING, closure_pivots, hpoly_gcd_reference,
+                     module_membership_reference, normal_form_reference, words_up_to)
 from pbwlab import rewriting
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
@@ -20,7 +20,7 @@ from pbwlab.jsonio import ncpoly_from_json, presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
                               torsion_check)
-from pbwlab.scalars import HPoly, HRat, hpoly_gcd
+from pbwlab.scalars import HPoly, HRat
 
 
 def terms_of(tail):
@@ -576,7 +576,9 @@ def test_reduce_dict_matches_rescan_reference():
 
 def _assert_rows_primitive(system):
     """Every rule row is the cleared form of its derived field tail: primitive,
-    with a positive denominator in Z and a monic one in Q[h]."""
+    with a positive denominator in Z and one with a positive lead in Z[h].  In
+    Z[h] the content is 1 when the integer coefficients are coprime and the
+    polynomials share no factor over Q (Gauss's lemma)."""
     rules = system.rules
     for lead, (scale, row) in system._rows.items():
         tail = rules[lead]
@@ -585,10 +587,12 @@ def _assert_rows_primitive(system):
         if system.mode == "at":
             assert scale > 0 and gcd(scale, *nums) == 1, lead
         else:
-            content = scale
+            assert all(type(c) is int for v in (scale, *nums) for c in v), lead
+            content = HPoly(scale)
             for num in nums:
-                content = hpoly_gcd(content, num)
-            assert scale.lead == 1 and content == HPoly.one(), lead
+                content = hpoly_gcd_reference(content, HPoly(num))
+            assert scale[-1] > 0 and content == HPoly.one(), lead
+            assert gcd(*scale, *(c for num in nums for c in num)) == 1, lead
 
 
 def _complete_checking_rows(system, degree):
@@ -631,6 +635,50 @@ def test_rule_rows_stay_primitive():
             _assert_rows_primitive(system)
         non_trivial += any(scale != system.ring.unit for scale, _ in system._rows.values())
     assert len(systems) >= 50 and non_trivial >= 10
+
+
+def _corpus_presentation(name):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+                      / f"{name}.json").read_text())
+    return presentation_from_json(doc)
+
+
+def _cubic_potential(rng, shape):
+    """h * (a xyz + b xzy + c x_i x_i x_j), shape = (i, i, j) or None for c = 0."""
+    cycles = [(1, 2, 3), (1, 3, 2)] + ([shape] if shape else [])
+    return presentation_from_json({"potential": {"n": 3, "terms": [
+        {"cycle": list(cycle), "coeff": ["0", str(rng.choice([-2, -1, 1, 2]))]}
+        for cycle in cycles]}})
+
+
+def test_generic_completion_matches_qh_reference(monkeypatch):
+    """Completion over Z[h] against the Q[h] ring of `oracles.QH_RING`, deepened
+    degree by degree to 6: the same derived rules, the same excluded
+    polynomials in the same order, and the same normal-word counts, on the
+    corpus potentials, seeded cubic potentials and the generic fixtures."""
+    rng = random.Random(20140)
+    cases = _hrat_corpus_presentations()
+    cases += [_cubic_potential(rng, shape)
+              for shape in (None, (1, 1, 2), (1, 1, 3), (2, 2, 1)) for _ in range(3)]
+    cases += [_corpus_presentation(name)
+              for name in ("strange", "sl2", "heisenberg", "quantum3")]
+    with_excluded = 0
+    for case, pres in enumerate(cases):
+        system = build_rules(pres, "generic")
+        with monkeypatch.context() as patch:
+            patch.setattr(rewriting, "ZPOLYS", QH_RING)
+            reference = build_rules(pres, "generic")
+        assert reference.ring is QH_RING and system.ring is rewriting.ZPOLYS
+        for degree in (3, 4, 5, 6):
+            system.complete(degree)
+            reference.complete(degree)
+            rules = system.rules
+            assert rules == reference.rules and list(rules) == list(reference.rules), case
+            assert system.excluded == reference.excluded, (case, degree)
+            assert (system.normal_word_counts(degree)
+                    == reference.normal_word_counts(degree)), (case, degree)
+        with_excluded += bool(system.excluded)
+    assert len(cases) == 23 and with_excluded >= 10
 
 
 class TestReduceEdgeCases:

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import hpoly_divmod_reference, rational_roots_reference
-from pbwlab.scalars import (HPoly, HRat, clear_hrat_denominators, hpoly_gcd,
-                            rational_roots)
+from oracles import (hpoly_divmod_reference, hpoly_gcd_reference, monic_reference,
+                     rational_roots_reference)
+from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _ZPoly, clear_hrat_denominators,
+                            hpoly_gcd, rational_roots)
 
 
 class TestHPolyBasics:
@@ -62,8 +64,9 @@ class TestHRatCanonical:
         assert r == HRat(HPoly([2]), HPoly([1, 0, -1]))
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            HRat(HPoly.one(), HPoly.zero())
+        for den in (HPoly.zero(), 0, Fraction(0), HRat.zero()):
+            with pytest.raises(ZeroDivisionError):
+                HRat(HPoly.one(), den)
         with pytest.raises(ZeroDivisionError):
             HRat.zero().inv()
 
@@ -222,3 +225,90 @@ def test_clear_hrat_denominators(values):
     assert den.lead == 1
     assert [HRat(num, den) for num in nums] == values
     assert all((den // v.den) * v.den == den for v in values)
+
+
+def _hrat_by_products(num, den):
+    """(num, den) of HRat(num, den) built from HPoly products: both over one,
+    divided by their Euclidean gcd, then multiplied by 1 / lead of den."""
+    n, d = (num.num, num.den) if isinstance(num, HRat) else (HPoly.one() * num, HPoly.one())
+    if isinstance(den, HRat):
+        n, d = n * den.den, d * den.num
+    elif den is not None:
+        d = d * den
+    if not n:
+        return HPoly.zero(), HPoly.one()
+    g = hpoly_gcd_reference(n, d)
+    n, d = n // g, d // g
+    scale = HPoly.const(1 / d.lead)
+    return n * scale, d * scale
+
+
+_SCALARS = st.one_of(st.integers(-4, 4), sts.rationals())
+
+
+@settings(max_examples=200)
+@given(st.one_of(sts.hpolys(), sts.hrats(), _SCALARS),
+       st.one_of(st.none(), sts.nonzero_hpolys(), sts.hrats().filter(bool),
+                 _SCALARS.filter(bool)))
+def test_hrat_constructor_matches_products(num, den):
+    x = HRat(num, den)
+    n, d = _hrat_by_products(num, den)
+    assert (x.num.coeffs, x.den.coeffs) == (n.coeffs, d.coeffs)
+    assert all(type(c) is Fraction for c in x.num.coeffs + x.den.coeffs)
+
+
+def _zpolys(max_degree=4, bound=30):
+    def build(ints):
+        while ints and not ints[-1]:
+            ints.pop()
+        return _ZPoly(ints)
+    return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(build)
+
+
+def _assert_zpoly(p, expected: HPoly):
+    assert type(p) is _ZPoly and all(type(c) is int for c in p)
+    assert not p or p[-1] != 0
+    assert HPoly(p) == expected
+
+
+@settings(max_examples=200)
+@given(_zpolys(), _zpolys(), _zpolys(max_degree=6, bound=200))
+def test_zpoly_ring_matches_hpoly(a, b, c):
+    """*, + and - against HPoly; // is exact division in Z[h]: a ValueError
+    when the quotient over Q leaves a remainder or is not integral."""
+    _assert_zpoly(a * b, HPoly(a) * HPoly(b))
+    _assert_zpoly(a + b, HPoly(a) + HPoly(b))
+    _assert_zpoly(-a, -HPoly(a))
+    assert (a * b == b * a) and hash(a * b) == hash(b * a)
+    assert bool(a) == bool(HPoly(a))
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            c // b
+        return
+    _assert_zpoly((a * b) // b, HPoly(a))
+    for dividend in (c, a * b * _ZPoly((2,)), a * b + c):
+        for divisor in (b, b * _ZPoly((3,))):
+            quo, rem = hpoly_divmod_reference(HPoly(dividend), HPoly(divisor))
+            if rem or any(q.denominator != 1 for q in quo.coeffs):
+                with pytest.raises(ValueError):
+                    dividend // divisor
+            else:
+                _assert_zpoly(dividend // divisor, quo)
+
+
+@settings(max_examples=200)
+@given(_zpolys(), _zpolys(), _zpolys(max_degree=2, bound=6))
+def test_zpoly_gcd(a, b, common):
+    """The Z[h] gcd divides both, has a positive lead and the gcd of the
+    integer contents as its content, and its monic form is hpoly_gcd."""
+    a, b = a * common, b * common
+    g = _zpoly_gcd(a, b)
+    if not a and not b:
+        assert g == _ZPoly()
+        assert hpoly_gcd(HPoly(a), HPoly(b)) == HPoly.zero()
+        return
+    assert type(g) is _ZPoly and g[-1] > 0
+    assert (a // g) * g == a and (b // g) * g == b
+    assert gcd(*g) == gcd(gcd(*a), gcd(*b))
+    assert monic_reference(HPoly(g)) == hpoly_gcd(HPoly(a), HPoly(b)) \
+        == hpoly_gcd_reference(HPoly(a), HPoly(b))
