@@ -19,7 +19,9 @@ normal forms run over one common denominator, and new rules are the primitive
 rows of normal forms, at h = a after a fraction-free echelon step over the
 whole batch.  Intermediate rules still carry coefficients of hundreds of
 bits, where field arithmetic would pay a gcd for every product and sum.
-`rules` derives the Fraction or HRat tails from the rows.
+`rules` derives the Fraction or HRat tails from the rows.  Normal forms look a
+word's rewrite up in a cache per rule set, which `_set_rule` and `_drop_rule`,
+the only writers of the rows, clear.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -118,6 +120,7 @@ class RewriteSystem:
         self.ring = INTEGERS if mode == "at" else ZPOLYS
         self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
+        self._rewrites: Dict[Word, Optional[tuple]] = {}
         self.degree_bound: Optional[int] = None
         self.complete_through: Optional[int] = None
         self.excluded: List[HPoly] = []
@@ -145,9 +148,11 @@ class RewriteSystem:
         """Install lead -> row / scale, row a list of (word, ring coefficient)."""
         self._rows[lead] = (scale, row)
         self._by_len.setdefault(len(lead), set()).add(lead)
+        self._rewrites.clear()
 
     def _drop_rule(self, lead: Word) -> tuple:
         scale_row = self._rows.pop(lead)
+        self._rewrites.clear()
         bucket = self._by_len[len(lead)]
         bucket.discard(lead)
         if not bucket:
@@ -175,8 +180,11 @@ class RewriteSystem:
         match of the largest reducible word is rewritten first.  Rewriting c * w
         by lead -> row / E, g = gcd(c, E), multiplies the other terms and den by
         E / g and adds (c / g) * row, so nothing is divided; E = 1 costs no gcd.
+        The leads are scanned once per word and rule set: `_rewrites` maps the
+        word to None (no lead) or to (E, [(left + tail word + right, r)]) of
+        that match, so the steps and their integers are those of a fresh scan.
         """
-        one, gcd_, n = self.ring.unit, self.ring.gcd, self.n
+        one, gcd_, n, rewrites = self.ring.unit, self.ring.gcd, self.n, self._rewrites
         heap = [(-_deglex_rank(w, n), w) for w in terms]
         heapq.heapify(heap)
         lengths = sorted(self._by_len)
@@ -184,12 +192,19 @@ class RewriteSystem:
             best = heapq.heappop(heap)[1]
             if best not in terms:
                 continue
-            hit = self._first_match(best, lengths)
-            if hit is None:
+            entry = rewrites.get(best, False)
+            if entry is False:
+                entry = self._first_match(best, lengths)
+                if entry is not None:
+                    pos, lead = entry
+                    left, right = best[:pos], best[pos + len(lead):]
+                    scale, tail = self._rows[lead]
+                    entry = scale, [(left + tw + right, tc) for tw, tc in tail]
+                rewrites[best] = entry
+            if entry is None:
                 continue
             coeff = terms.pop(best)
-            pos, lead = hit
-            scale, tail = self._rows[lead]
+            scale, spliced = entry
             if scale != one:
                 g = gcd_(coeff, scale)
                 if g != scale:
@@ -199,9 +214,7 @@ class RewriteSystem:
                         terms[w] *= mult
                 if g != one:
                     coeff //= g
-            left, right = best[:pos], best[pos + len(lead):]
-            for tw, tc in tail:
-                word = left + tw + right
+            for word, tc in spliced:
                 add = coeff * tc
                 acc = terms.get(word)
                 if acc is None:

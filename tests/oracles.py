@@ -3,10 +3,12 @@
 Nothing here calls the rewriting or certificate machinery: dimensions come
 from exact row reduction of explicit relation multiples, residue
 expansions from direct index summation, and differentials of Koszul words
-from plain dict products.  Disagreement with the library is a
+from plain dict products.  `reduce_ring_reference` reads a rewrite system's
+rule rows but calls none of its methods.  Disagreement with the library is a
 build failure, not a tolerance question.
 """
 
+import heapq
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
@@ -281,6 +283,58 @@ def _first_lead_match(by_len, word):
             if word[pos:pos + length] in by_len[length]:
                 return pos, word[pos:pos + length]
     return None
+
+
+def reduce_ring_reference(system, den, terms):
+    """`RewriteSystem.reduce_ring` without its rewrite cache: the same deglex
+    max-heap and fraction-free steps, but the rule leads are scanned afresh for
+    every popped word and each tail word is spliced at every step.  terms is
+    updated in place; returns (den', terms')."""
+    one, gcd_, n = system.ring.unit, system.ring.gcd, system.n
+
+    def rank(word):
+        value = 0
+        for letter in word:
+            value = value * n + letter
+        return value
+
+    heap = [(-rank(w), w) for w in terms]
+    heapq.heapify(heap)
+    while heap:
+        best = heapq.heappop(heap)[1]
+        if best not in terms:
+            continue
+        hit = _first_lead_match(system._by_len, best)
+        if hit is None:
+            continue
+        coeff = terms.pop(best)
+        pos, lead = hit
+        scale, tail = system._rows[lead]
+        if scale != one:
+            g = gcd_(coeff, scale)
+            if g != scale:
+                mult = scale // g
+                den *= mult
+                for w in terms:
+                    terms[w] *= mult
+            if g != one:
+                coeff //= g
+        left, right = best[:pos], best[pos + len(lead):]
+        for tw, tc in tail:
+            word = left + tw + right
+            add = coeff * tc
+            acc = terms.get(word)
+            if acc is None:
+                if add:
+                    terms[word] = add
+                    heapq.heappush(heap, (-rank(word), word))
+            else:
+                acc = acc + add
+                if acc:
+                    terms[word] = acc
+                else:
+                    del terms[word]
+    return den, terms
 
 
 def normal_form_reference(rules, terms):

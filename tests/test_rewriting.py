@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import (QH_RING, closure_pivots, hpoly_gcd_reference,
-                     module_membership_reference, normal_form_reference, words_up_to)
+                     module_membership_reference, normal_form_reference,
+                     reduce_ring_reference, words_up_to)
 from pbwlab import rewriting
 from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
                            OutOfRange)
@@ -572,6 +573,133 @@ def test_reduce_dict_matches_rescan_reference():
                              for c in tail.values())]
     assert len(non_polynomial) == 11
     assert cases >= 150
+
+
+def _checked_reductions(system, run):
+    """run(), with every `reduce_ring` call of system checked against the
+    uncached `oracles.reduce_ring_reference`, taken on a copy of the input
+    against the same rules: the same denominator and the same terms, key order
+    included.  Returns the number of calls checked."""
+    calls = 0
+    reduce_ring = system.reduce_ring
+
+    def checking(den, terms):
+        nonlocal calls
+        expected = reduce_ring_reference(system, den, dict(terms))
+        got = reduce_ring(den, terms)
+        assert got == expected and list(got[1]) == list(expected[1])
+        calls += 1
+        return got
+
+    system.reduce_ring = checking
+    run()
+    del system.reduce_ring
+    return calls
+
+
+def _reads(system, rng, count):
+    """count reduce_dict reads of seeded terms over the system's field."""
+    coeff = Fraction if system.mode == "at" else (lambda q: HRat(HPoly([q, 1])))
+    for _ in range(count):
+        system.reduce_dict(_random_terms(rng, system.n, coeff))
+
+
+def test_cached_reduce_ring_matches_uncached_reference():
+    """Every normal form taken while completing and reading, through the
+    rewrite cache, against the loop that scans the leads for every word:
+    seeded presentations at four points through D = 6, the mixed fixtures at
+    their points, the cascading fixture at h = 1/2 through D = 5, and the
+    corpus potentials over Q(h)."""
+    rng = random.Random(20141)
+    cases = []
+    for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-5, 3)):
+        cases += [(_random_presentation(rng, 2 if case % 2 else 3), "at", a, (3, 4, 5, 6))
+                  for case in range(4)]
+    cases += [(pres, "at", a, (3, 4, 5)) for pres, a in _mixed_fixtures()]
+    cases.append((_cascading_presentation(), "at", Fraction(1, 2), (3, 4, 5)))
+    cases += [(pres, "generic", None, (3, 4, 5)) for pres in _hrat_corpus_presentations()]
+    systems = calls = 0
+    for pres, mode, a, degrees in cases:
+        try:
+            system = build_rules(pres, mode, a)
+        except BadSpecialization:
+            continue
+        for degree in degrees:
+            calls += _checked_reductions(system, lambda: system.complete(degree))
+            calls += _checked_reductions(system, lambda: _reads(system, rng, 3))
+        systems += 1
+    assert systems >= 30 and calls >= 1500
+
+
+def test_rewrite_cache_is_cleared_when_the_rules_change(sl2):
+    """A cached rewrite never outlives its rule set: after `_set_rule` puts a
+    lead at an earlier position of a cached word, and after `_drop_rule`
+    removes the rule that the word's rewrite used, the normal form is the
+    reference's for the new rules.  Resuming a completion between reads
+    answers as a system completed at once."""
+    system = build_rules(from_lie(sl2), "at", Fraction(1)).complete(4)
+    word = (3, 2, 1)
+
+    def normal_form():
+        expected = reduce_ring_reference(system, 1, {word: 1})
+        got = system.reduce_ring(1, {word: 1})
+        assert got == expected and list(got[1]) == list(expected[1])
+        return got
+
+    before = normal_form()
+    assert system._rewrites[word][1][0][0] == (2, 3, 1)  # x3 x2 -> x2 x3 + ...
+    system._set_rule((3,), 1, [((1,), 1)])
+    assert normal_form() != before
+    assert system._rewrites[word][1] == [((1, 2, 1), 1)]
+    system._drop_rule((3,))
+    assert normal_form() == before
+    system._drop_rule((3, 2))
+    assert normal_form() != before
+
+    rng = random.Random(20142)
+    reads = [_random_terms(rng, 3, Fraction) for _ in range(12)]
+    reads = [{w: c for w, c in terms.items() if len(w) <= 3} for terms in reads]
+    resumed = build_rules(_cascading_presentation(), "at", Fraction(1, 2))
+    fresh = build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(5)
+    _checked_reductions(resumed, lambda: resumed.complete(4))
+    first = []
+    _checked_reductions(resumed, lambda: first.extend(map(resumed.reduce_dict, reads)))
+    _checked_reductions(resumed, lambda: resumed.complete(5))
+    again = []
+    _checked_reductions(resumed, lambda: again.extend(map(resumed.reduce_dict, reads)))
+    assert again == [fresh.reduce_dict(terms) for terms in reads] != first
+
+
+def _count_scans(monkeypatch):
+    """A one-item list counting, from now on, the words whose rule leads
+    `reduce_ring` scans: the misses of its rewrite cache."""
+    scans = [0]
+    first_match = rewriting.RewriteSystem._first_match
+
+    def counting(self, word, lengths):
+        scans[0] += 1
+        return first_match(self, word, lengths)
+
+    monkeypatch.setattr(rewriting.RewriteSystem, "_first_match", counting)
+    return scans
+
+
+def test_lead_scans_are_counted_once_per_word_and_rule_set(monkeypatch):
+    """Deterministic work counter: completing the cascading fixture to D = 5
+    at h = 1/2 scans 371 words (2,425 when every popped word was scanned),
+    and a member read repeated on a completed system scans none."""
+    scans = _count_scans(monkeypatch)
+    system = build_rules(_cascading_presentation(), "at", Fraction(1, 2))
+    scans[0] = 0
+    system.complete(5)
+    assert scans[0] == 371
+    sl2 = build_rules(_corpus_presentation("sl2"), "at", Fraction(1, 2)).complete(6)
+    poly = NCPoly(3, {(3, 2, 1): HPoly.one(), (2, 1, 3): HPoly([2]), (1, 1): HPoly.h()})
+    assert not member(sl2, poly)
+    assert scans[0] > 371
+    scans[0] = 0
+    assert not member(sl2, poly)
+    assert scans[0] == 0
 
 
 def _assert_rows_primitive(system):
