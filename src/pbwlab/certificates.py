@@ -177,15 +177,9 @@ class ObstructionReport:
 
 
 def _hbar_order(p: NCPoly) -> Optional[int]:
-    order = None
-    for coeff in p.terms.values():
-        if not isinstance(coeff, HPoly):
-            coeff = HPoly.const(coeff)
-        for k, c in enumerate(coeff.coeffs):
-            if c:
-                order = k if order is None else min(order, k)
-                break
-    return order
+    """Lowest hbar power with a nonzero coefficient; None for zero."""
+    return min((next(k for k, c in enumerate(coeff.coeffs) if c)
+                for coeff in p.with_hpoly_coeffs().terms.values()), default=None)
 
 
 def obstruction(p: Presentation, d2_choice: str = "default",

@@ -56,9 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pbwlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--input", required=True, help="input JSON document")
+    def common(sp):
+        sp.add_argument("--input", required=True, help="input JSON document")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--seed", type=int, default=0,
                         help="recorded in the report for reproducibility")
@@ -136,134 +135,99 @@ def _hilbert_table(report) -> list:
 
 
 def run(args) -> int:
-    config = {"seed": args.seed, "format": args.format}
-    sub = args.subcommand
-
-    if sub == "validate":
-        p = presentation_from_json(_load_json(args.input))
-        report = validate(p)
-        config["input"] = args.input
-        body = {"presentation": presentation_to_json(p),
-                "result": validation_report_to_json(report)}
+    sub, code = args.subcommand, 0
+    config = {"seed": args.seed, "format": args.format, "input": args.input}
+    doc = _load_json(args.input)
+    if sub in ("derive", "from-potential"):
+        pot = potential_from_json(doc.get("potential", doc) if isinstance(doc, dict) else doc)
+    else:
+        p = presentation_from_json(doc)
         lines = _presentation_lines(p)
+
+    if sub == "derive":
+        config["var"] = args.var
+        derivative = cyclic_derivative(pot, args.var)
+        result = {"var": args.var, "derivative": ncpoly_to_json(derivative)}
+        lines = [format_ncpoly(derivative)]
+
+    elif sub == "from-potential":
+        p = potential_to_presentation(pot)
+        result, lines = presentation_to_json(p), _presentation_lines(p)
+
+    elif sub == "validate":
+        report = validate(p)
+        result, code = validation_report_to_json(report), 0 if report.valid else 1
         lines.append(f"valid: {'yes' if report.valid else 'no'}")
         lines.append(f"filtration_ok: {'yes' if report.filtration_ok else 'no'}")
         lines.append(f"paths: {', '.join(report.paths)}")
         lines.extend(f"problem: {msg}" for msg in report.problems)
-        _emit(args, config, body, lines)
-        return 0 if report.valid else 1
 
-    if sub in ("certify", "obstruction"):
-        p = presentation_from_json(_load_json(args.input))
+    elif sub in ("certify", "obstruction"):
         custom = None
         if args.d2 == "custom":
             if not args.d2_file:
                 raise InputError("--d2 custom needs --d2-file")
             custom = custom_d2_from_json(_load_json(args.d2_file), p.n)
-        config.update({"input": args.input, "d2": args.d2})
+        config["d2"] = args.d2
         if sub == "certify":
             report = certify(p, args.d2, custom)
-            body = {"presentation": presentation_to_json(p),
-                    "result": certificate_report_to_json(report)}
-            lines = _presentation_lines(p)
+            result, code = certificate_report_to_json(report), 0 if report.passed else 1
             lines.append(f"certificate: {report.verdict} (d2 = {report.path})")
             lines.extend(f"  {claim}" for claim in report.claims)
             if not report.passed:
-                for tri, res in sorted(report.residues.items()):
-                    if res:
-                        lines.append(f"  residue {tri}: {format_ncpoly(res)}")
-            _emit(args, config, body, lines)
-            return 0 if report.passed else 1
-        try:
-            report = obstruction(p, args.d2, custom)
-        except NoObstruction:
-            body = {"presentation": presentation_to_json(p),
-                    "result": {"verdict": "no-obstruction"}}
-            _emit(args, config, body,
-                  ["certificate passed: no obstruction to extract"])
-            return 1
-        body = {"presentation": presentation_to_json(p),
-                "result": obstruction_report_to_json(report)}
-        lines = _presentation_lines(p)
-        lines.append(f"first obstruction at h-order {report.hbar_order}:")
-        for tri, gen in report.generators:
-            lines.append(f"  {tri}: {format_ncpoly(gen)}")
-        _emit(args, config, body, lines)
-        return 0
+                lines.extend(f"  residue {tri}: {format_ncpoly(res)}"
+                             for tri, res in sorted(report.residues.items()) if res)
+        else:
+            try:
+                report = obstruction(p, args.d2, custom)
+            except NoObstruction:
+                result, code = {"verdict": "no-obstruction"}, 1
+                lines = ["certificate passed: no obstruction to extract"]
+            else:
+                result = obstruction_report_to_json(report)
+                lines.append(f"first obstruction at h-order {report.hbar_order}:")
+                lines.extend(f"  {tri}: {format_ncpoly(gen)}" for tri, gen in report.generators)
 
-    if sub == "derive":
-        doc = _load_json(args.input)
-        pot = potential_from_json(doc.get("potential", doc) if isinstance(doc, dict) else doc)
-        config.update({"input": args.input, "var": args.var})
-        result = cyclic_derivative(pot, args.var)
-        body = {"potential": potential_to_json(pot),
-                "result": {"var": args.var, "derivative": ncpoly_to_json(result)}}
-        _emit(args, config, body, [format_ncpoly(result)])
-        return 0
-
-    if sub == "from-potential":
-        doc = _load_json(args.input)
-        pot = potential_from_json(doc.get("potential", doc) if isinstance(doc, dict) else doc)
-        p = potential_to_presentation(pot)
-        config["input"] = args.input
-        body = {"potential": potential_to_json(pot),
-                "result": presentation_to_json(p)}
-        _emit(args, config, body, _presentation_lines(p))
-        return 0
-
-    if sub in ("hilbert", "pbw"):
-        p = presentation_from_json(_load_json(args.input))
+    elif sub in ("hilbert", "pbw"):
         a = None if args.generic else _parse_rational(args.at)
-        config.update({"input": args.input, "degree": args.degree,
+        config.update({"degree": args.degree,
                        "mode": "generic" if args.generic else f"at {args.at}"})
         report = hilbert(p, args.degree, a=a, generic=args.generic)
-        body = {"presentation": presentation_to_json(p),
-                "result": hilbert_report_to_json(report)}
-        lines = _presentation_lines(p) + _hilbert_table(report)
+        result = hilbert_report_to_json(report)
+        code = 1 if "defect" in report.verdicts else 2 if "unknown" in report.verdicts else 0
+        lines += _hilbert_table(report)
         if report.excluded:
             lines.append("excluded specializations observed: " + ", ".join(report.excluded))
-        _emit(args, config, body, lines)
-        if any(v == "defect" for v in report.verdicts):
-            return 1
-        if any(v == "unknown" for v in report.verdicts):
-            return 2
-        return 0
 
-    if sub == "member":
-        p = presentation_from_json(_load_json(args.input))
-        poly_doc = _load_json(args.poly)
-        poly = ncpoly_from_json(poly_doc, p.n)
+    elif sub == "member":
+        poly = ncpoly_from_json(_load_json(args.poly), p.n)
         generic = args.at is None
         a = None if generic else _parse_rational(args.at)
-        config.update({"input": args.input, "poly": args.poly, "degree": args.degree,
+        config.update({"poly": args.poly, "degree": args.degree,
                        "mode": "generic" if generic else f"at {args.at}"})
         system = build_rules(p, "generic" if generic else "at", a)
         system.complete(args.degree)
         answer = member(system, poly)
-        body = {"presentation": presentation_to_json(p),
-                "result": {"member": answer,
-                           "certified_through": system.complete_through}}
-        lines = _presentation_lines(p)
+        result = {"member": answer, "certified_through": system.complete_through}
+        code = 0 if answer else 1
         lines.append(f"member: {'yes' if answer else 'no'} "
                      f"(certified through degree {system.complete_through})")
-        _emit(args, config, body, lines)
-        return 0 if answer else 1
 
-    if sub == "torsion":
-        p = presentation_from_json(_load_json(args.input))
+    elif sub == "torsion":
         element = ncpoly_from_json(_load_json(args.element), p.n)
         factor = parse_hpoly_string(args.factor)
-        config.update({"input": args.input, "element": args.element,
-                       "factor": args.factor, "degree": args.degree})
+        config.update({"element": args.element, "factor": args.factor, "degree": args.degree})
         outcome = torsion_check(p, element, factor, args.degree)
-        body = {"presentation": presentation_to_json(p),
-                "result": torsion_outcome_to_json(outcome)}
-        lines = _presentation_lines(p)
+        result = torsion_outcome_to_json(outcome)
+        code = {"witness": 0, "refuted": 1, "unknown": 2}[outcome.status]
         lines.extend([f"torsion: {outcome.status}", f"  {outcome.detail}"])
-        _emit(args, config, body, lines)
-        return {"witness": 0, "refuted": 1, "unknown": 2}[outcome.status]
 
-    raise InputError(f"unknown subcommand {sub!r}")
+    else:
+        raise InputError(f"unknown subcommand {sub!r}")
+    echo = ({"potential": potential_to_json(pot)} if sub in ("derive", "from-potential")
+            else {"presentation": presentation_to_json(p)})
+    _emit(args, config, dict(echo, result=result), lines)
+    return code
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -208,18 +208,12 @@ def hbar_coefficient(p: NCPoly, k: int) -> NCPoly:
     """
     if k < 0:
         raise ValueError("negative hbar power")
-    return p.map_coeffs(lambda c: (c if isinstance(c, HPoly) else HPoly.const(c)).coeff(k))
+    return p.with_hpoly_coeffs().map_coeffs(lambda c: c.coeff(k))
 
 
 def hbar_degree(p: NCPoly) -> int:
     """Largest hbar power with a nonzero coefficient; -1 for zero."""
-    deg = -1
-    for c in p.terms.values():
-        if isinstance(c, HPoly):
-            deg = max(deg, c.degree)
-        elif c:
-            deg = max(deg, 0)
-    return deg
+    return max((c.degree for c in p.with_hpoly_coeffs().terms.values()), default=-1)
 
 
 def specialize(p: NCPoly, a) -> NCPoly:
@@ -232,12 +226,12 @@ def specialize(p: NCPoly, a) -> NCPoly:
     return p.map_coeffs(ev)
 
 
-def format_ncpoly(p: NCPoly, gen_prefix: str = "x") -> str:
+def format_ncpoly(p: NCPoly) -> str:
     if not p.terms:
         return "0"
     parts = []
     for word, coeff in p.sorted_terms():
-        mono = "*".join(f"{gen_prefix}{i}" for i in word) if word else "1"
+        mono = "*".join(f"x{i}" for i in word) if word else "1"
         parts.append(_scaled_monomial(coeff, mono))
     out = parts[0]
     for term in parts[1:]:

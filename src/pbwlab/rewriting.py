@@ -404,10 +404,10 @@ def _contains(word: Word, sub: Word) -> bool:
 class _AmbiguityQueue:
     """Overlap ambiguities ordered by overlap-word degree, FIFO within a degree."""
 
-    def __init__(self, max_degree: int, seen: Optional[set] = None):
+    def __init__(self, max_degree: int, seen: set):
         self.max_degree = max_degree
         self.heap: list = []
-        self.seen: set = set() if seen is None else seen
+        self.seen = seen
         self._seq = 0
 
     def _push(self, left: Word, right: Word, k: int) -> None:

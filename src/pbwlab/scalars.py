@@ -7,7 +7,8 @@ is the fraction field of `HPoly`, kept in canonical form: numerator and
 denominator coprime, denominator monic and nonzero.  `clear_denominators` and
 `clear_hrat_denominators` put values of Q and Q(h) over one denominator in Z and Q[h].
 `_ZPoly`, a bare tuple of ints, is a polynomial over Z for the generic completion
-ring Z[h]; `hpoly_gcd` is the monic form of its gcd `_zpoly_gcd`.
+ring Z[h]; `hpoly_gcd` is the monic form of its gcd `_zpoly_gcd`, and `HPoly //`
+(exact division, no remainder) divides the primitive parts with `_ZPoly //`.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -143,42 +144,23 @@ class HPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        """Quotient and remainder by integer pseudo-division of the primitive
-        parts: a step whose integer divmod is inexact first scales the dividend
-        and quotient by the least factor that makes it exact, which an exact
-        division never needs (Gauss's lemma)."""
+    def __floordiv__(self, other) -> "HPoly":
+        """Exact quotient; ValueError when other does not divide self.  The
+        primitive parts divide in Z[h]: by Gauss's lemma an exact quotient of
+        primitive integer polynomials is integral, so `_ZPoly //` raises
+        exactly when the division is inexact."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        d = o.degree
-        if self.degree < d:
-            return HPoly(()), self
-        ca, rem = _content_split(self.coeffs)
-        cb, div = _content_split(o.coeffs)
-        lc, quo, den = div[-1], [0] * (len(rem) - d), 1
-        for shift in range(len(quo) - 1, -1, -1):
-            top = rem[shift + d]
-            if top:
-                g = gcd(top, lc)
-                if g != lc:
-                    mult = lc // g
-                    rem, quo, den = [c * mult for c in rem], [c * mult for c in quo], den * mult
-                quo[shift] = factor = top // g
-                for i, c in enumerate(div):
-                    rem[shift + i] -= factor * c
-        qs, rs = ca / (cb * den), ca / den
-        return (HPoly([Fraction(c * qs.numerator, qs.denominator) for c in quo]),
-                HPoly([Fraction(c * rs.numerator, rs.denominator) for c in rem[:d]]))
-
-    def __floordiv__(self, other) -> "HPoly":
-        """Exact quotient; ValueError when other does not divide self."""
-        q, r = divmod(self, other)
-        if r:
-            raise ValueError("inexact polynomial division")
-        return q
+        if not self:
+            return self
+        ca, pa = _content_split(self.coeffs)
+        cb, pb = _content_split(o.coeffs)
+        scale = ca / cb
+        return HPoly([Fraction(c * scale.numerator, scale.denominator)
+                      for c in _ZPoly(pa) // _ZPoly(pb)])
 
     def eval(self, a) -> Fraction:
         """Evaluate at hbar = a by Horner's rule."""

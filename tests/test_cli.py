@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pbwlab.cli import main
+from pbwlab.rewriting import HilbertReport
 
 SL2 = {"lie": {"n": 3, "c": [
     {"i": 1, "j": 2, "k": 3, "value": "1"},
@@ -69,6 +71,23 @@ class TestPbw:
                                "--generic", "--degree", "4")
         assert code == 0
         assert "match" in out
+
+    @pytest.mark.parametrize("verdicts, exit_code", [(["match", "unknown"], 2),
+                                                     (["unknown", "defect"], 1)])
+    def test_unknown_exits_2_unless_a_defect(self, capsys, monkeypatch, sl2_file,
+                                             verdicts, exit_code):
+        """`unknown` without a `defect` exits 2; a defect anywhere exits 1."""
+        report = HilbertReport(3, 1, "at", Fraction(1), [1, 3], [1, 3], verdicts,
+                               [0, 0], 1)
+        monkeypatch.setattr("pbwlab.cli.hilbert", lambda *args, **kwargs: report)
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, "hilbert", "--input", sl2_file, "--at", "1",
+                                   "--degree", "1", "--format", fmt)
+            assert code == exit_code
+            if fmt == "json":
+                assert json.loads(out)["result"]["verdicts"] == verdicts
+            else:
+                assert "unknown" in out
 
 
 class TestDerive:

@@ -34,10 +34,7 @@ class TestHPolyBasics:
         assert HPoly.zero().divisible_by_h()
 
     def test_divmod(self):
-        p = HPoly([1, 0, -1])  # 1 - h^2
-        q, r = divmod(p, HPoly([1, -1]))
-        assert not r
-        assert q * HPoly([1, -1]) == p
+        assert HPoly([1, 0, -1]) // HPoly([1, -1]) == HPoly([1, 1])  # (1 - h^2) / (1 - h)
 
     def test_gcd_monic(self):
         g = hpoly_gcd(HPoly([1, -1]) * HPoly([0, 1]), HPoly([1, -1]) * HPoly([2]))
@@ -167,13 +164,6 @@ def test_rational_roots_of_a_60_bit_prime():
     assert rational_roots(HPoly([prime, 0, -7])) == []
 
 
-@given(sts.hpolys(), sts.nonzero_hpolys())
-def test_divmod_reconstructs(p, d):
-    q, r = divmod(p, d)
-    assert q * d + r == p
-    assert r.degree < d.degree or not r
-
-
 @given(sts.hpolys(max_degree=2), sts.nonzero_hpolys(max_degree=2))
 def test_hrat_constructor_agrees_with_division(num, den):
     assert HRat(num, den) == HRat(num) / HRat(den)
@@ -197,25 +187,26 @@ def _wide_hpolys(max_degree):
 
 @settings(max_examples=200)
 @given(_wide_hpolys(7), _wide_hpolys(4), sts.hpolys(max_degree=2))
+@example(HPoly([3, 1, -2]), HPoly([-2, 0, -3]), HPoly([1, -1]))  # negative leads
+@example(HPoly([1, 2]), HPoly([Fraction(-3, 4)]), HPoly([Fraction(5, 2)]))  # constant divisor
+@example(HPoly(), HPoly([1, 1]), HPoly())  # zero dividend
 def test_divmod_matches_fraction_long_division(p, d, q):
-    """Integer pseudo-division against the Fraction long division, on random,
-    exact and inexact quotients, including the zero divisor."""
+    """Exact division on the Z[h] kernel against the Fraction long division, on
+    random, exact and inexact quotients, including the zero divisor: `//` is the
+    reference quotient when the reference remainder is 0 and ValueError otherwise."""
     for dividend in (p, q * d, q * d + p):
         if not d:
             with pytest.raises(ZeroDivisionError):
-                divmod(dividend, d)
-            with pytest.raises(ZeroDivisionError):
                 dividend // d
             continue
-        quo, rem = divmod(dividend, d)
         ref_quo, ref_rem = hpoly_divmod_reference(dividend, d)
-        assert (quo.coeffs, rem.coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
-        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
-        if rem:
+        if ref_rem:
             with pytest.raises(ValueError):
                 dividend // d
         else:
-            assert (dividend // d).coeffs == ref_quo.coeffs
+            quo = dividend // d
+            assert quo.coeffs == ref_quo.coeffs
+            assert all(type(c) is Fraction for c in quo.coeffs)
 
 
 @settings(max_examples=50)
