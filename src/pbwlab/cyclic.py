@@ -1,13 +1,13 @@
 """Cyclic words (necklaces), potentials, and the cyclic partial derivative.
 
 A cyclic word is a rotation-equivalence class of nonempty words, stored by
-its lexicographically minimal rotation (found with Booth's linear-time
-algorithm).  A potential is a finitely supported map from cyclic words to
-hbar polynomials: the sparse word-polynomial core of `freealg` keyed by
-`CyclicWord`, with its sums but no product.  The derivative with respect to
-x_i cuts the necklace at every occurrence of i and reads the remaining
-letters cyclically; it and the other sums over cuts feed their terms to the
-core's one accumulate loop, `add_terms`.
+its lexicographically minimal rotation: the `min` over all its rotations, as
+necklaces are short.  A potential is a finitely supported map from cyclic
+words to hbar polynomials: the sparse word-polynomial core of `freealg`
+keyed by `CyclicWord`, with its sums but no product.  The derivative with
+respect to x_i cuts the necklace at every occurrence of i and reads the
+remaining letters cyclically; it and the other sums over cuts feed their
+terms to the core's one accumulate loop, `add_terms`.
 """
 
 from __future__ import annotations
@@ -20,27 +20,6 @@ from .freealg import (NCPoly, Word, WordPoly, add_terms, check_word, deglex_key,
                       nc_mul)
 from .scalars import HPoly
 from . import presentations
-
-
-def least_rotation_index(word: Word) -> int:
-    """Index of the lexicographically minimal rotation (Booth's algorithm)."""
-    doubled = word + word
-    failure = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        letter = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and letter != doubled[k + i + 1]:
-            if letter < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if letter != doubled[k + i + 1]:
-            if letter < doubled[k]:
-                k = j
-            failure[j - k] = -1
-        else:
-            failure[j - k] = i + 1
-    return k
 
 
 def rotate(word: Word, r: int) -> Word:
@@ -61,7 +40,7 @@ class CyclicWord:
             raise EmptyCycle("cyclic words must be nonempty")
         check_word(word, n)
         self.n = n
-        self.letters = rotate(word, least_rotation_index(word))
+        self.letters = min(word[r:] + word[:r] for r in range(len(word)))
 
     def __len__(self):
         return len(self.letters)
@@ -104,9 +83,6 @@ class Potential(WordPoly):
 
     def divisible_by_h(self) -> bool:
         return all(c.divisible_by_h() for c in self.terms.values())
-
-    def max_degree(self) -> int:
-        return max((len(cw) for cw in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:

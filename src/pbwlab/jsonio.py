@@ -52,68 +52,35 @@ def hpoly_to_json(p: HPoly) -> List[str]:
     return [format_rational(c) for c in p.coeffs]
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([h+\-*/^()]))")
+# one signed term: [+-] [p[/q][*]] [h[^e]], with spaces allowed between symbols
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*)?)?"
+                   r"(?:\s*(h)(?:\s*\^\s*(\d+))?)?")
+MAX_H_EXPONENT = 1000
 
 
 def parse_hpoly_string(text: str) -> HPoly:
-    """Parse strings like "1-h", "2 + 3*h^2", "-1/2h" into an HPoly."""
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise InputError(f"bad character in scalar string: {text[pos:]!r}")
-        tokens.append(m.group(1) or m.group(2))
-        pos = m.end()
-    if "(" in tokens or ")" in tokens:
-        raise InputError("parentheses are not supported in scalar strings")
-    coeffs: Dict[int, Fraction] = {}
-    i = 0
-    sign = 1
-    if tokens and tokens[0] in "+-":
-        sign = -1 if tokens[0] == "-" else 1
-        i = 1
-    while i < len(tokens):
-        coeff = Fraction(1)
-        explicit = False
-        if tokens[i].isdigit():
-            num = int(tokens[i])
-            i += 1
-            den = 1
-            if i < len(tokens) and tokens[i] == "/":
-                if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                    raise InputError(f"bad fraction in {text!r}")
-                den = int(tokens[i + 1])
-                if not den:
-                    raise InputError(f"zero denominator in {text!r}")
-                i += 2
-            coeff = Fraction(num, den)
-            explicit = True
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-        power = 0
-        if i < len(tokens) and tokens[i] == "h":
-            power = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                    raise InputError(f"bad exponent in {text!r}")
-                power = int(tokens[i + 1])
-                i += 2
-        elif not explicit:
-            raise InputError(f"expected a term at token {i} of {text!r}")
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-        if i < len(tokens):
-            if tokens[i] not in "+-":
-                raise InputError(f"expected + or - at token {i} of {text!r}")
-            sign = -1 if tokens[i] == "-" else 1
-            i += 1
-            if i == len(tokens):
-                raise InputError(f"dangling sign in {text!r}")
-    if not coeffs:
-        raise InputError("empty scalar string")
-    top = max(coeffs)
-    return HPoly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+    """Parse strings like "1-h", "2 + 3*h^2", "-1/2h" into an HPoly.
+
+    Each term needs a number or an h, every term after the first a sign, and
+    no exponent may exceed MAX_H_EXPONENT (checked before any allocation).
+    """
+    total, pos = HPoly.zero(), 0
+    while not pos or pos < len(text):  # at least one term
+        m = _TERM.match(text, pos)
+        sign, num, den, h, exp = m.groups()
+        if not (num or h) or (pos and not sign):
+            raise InputError(f"bad scalar string {text!r} at position {pos}")
+        try:
+            coeff = Fraction(int(sign + (num or "1")), int(den or 1))
+            power = int(exp) if exp else 1 if h else 0
+        except ZeroDivisionError as exc:
+            raise InputError(f"zero denominator in {text!r}") from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"number too long in {text!r}") from exc
+        if power > MAX_H_EXPONENT:
+            raise InputError(f"exponent {power} above {MAX_H_EXPONENT} in {text!r}")
+        total, pos = total + HPoly([0] * power + [coeff]), m.end()
+    return total
 
 
 # -- noncommutative polynomials ------------------------------------------------

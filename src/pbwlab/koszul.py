@@ -15,6 +15,7 @@ with symbol tuples as letters, multiplied by the same `nc_mul` as `NCPoly`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterable, Tuple
 
 from .errors import BadIndex, Inhomogeneous
@@ -48,16 +49,9 @@ def xi2(i: int, j: int):
 
 def xi3(i: int, j: int, k: int):
     """Canonical degree -2 symbol with permutation sign; (0, None) on repeats."""
-    idx = [i, j, k]
-    if len(set(idx)) < 3:
+    if i == j or i == k or j == k:
         return 0, None
-    sign = 1
-    for a in range(2):
-        for b in range(2 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return sign, ("xi3", idx[0], idx[1], idx[2])
+    return (-1) ** ((i > j) + (i > k) + (j > k)), ("xi3", *sorted((i, j, k)))
 
 
 def word_degree(word: Tuple[Symbol, ...]) -> int:
@@ -146,10 +140,7 @@ class Differential:
 
 
 def triples(n: int):
-    return [(i, j, k)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)]
+    return list(combinations(range(1, n + 1), 3))
 
 
 def d1_from_presentation(p: Presentation) -> Dict[Pair, NCPoly]:

@@ -465,9 +465,11 @@ class HilbertReport:
         return all(v == "match" for v in self.verdicts)
 
 
+MAX_EXTRA_DEPTH = 4  # completion depths hilbert may add beyond K + 1 while stabilizing
+
+
 def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
-            generic: bool = False, stabilize: bool = True,
-            max_extra_depth: int = 4) -> HilbertReport:
+            generic: bool = False, stabilize: bool = True) -> HilbertReport:
     """Dimensions of the degree filtration quotients against C(n+k-1, k), k <= K.
 
     Completion starts at overlap degree K + 1.  With stabilize (the default)
@@ -476,7 +478,7 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
     can cascade consequences several degrees down (a degree-2 relation with a
     constant term may only reveal a degree-1 collapse through degree-5
     overlaps), so the fixed one-degree margin alone is not reliable.  If the
-    counts are still moving at depth K + 1 + max_extra_depth, every degree is
+    counts are still moving at depth K + 1 + MAX_EXTRA_DEPTH, every degree is
     reported as unknown rather than guessed.
 
     stabilize=False stops at K + 1 and reports the counts as they stand.
@@ -496,7 +498,7 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
     system.complete(depth)
     dims = system.normal_word_counts(K)
     stable = not stabilize
-    while stabilize and depth < K + 1 + max_extra_depth:
+    while stabilize and depth < K + 1 + MAX_EXTRA_DEPTH:
         depth += 1
         system.complete(depth)
         nxt = system.normal_word_counts(K)

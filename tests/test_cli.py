@@ -153,6 +153,17 @@ class TestTorsion:
         assert code == 3
         assert "input error" in err and "zero denominator" in err
 
+    @pytest.mark.parametrize("power, exit_code", [(1000, 2), (1001, 3)])
+    def test_factor_exponent_cap(self, capsys, strange_file, tmp_path, power, exit_code):
+        """h^1000 reaches the probe; h^1001 is refused before any allocation."""
+        elem = tmp_path / "T.json"
+        elem.write_text(json.dumps(TORSION_T))
+        code, _, err = run_cli(capsys, "torsion", "--input", strange_file,
+                               "--element", str(elem), "--factor", f"h^{power}",
+                               "--degree", "5")
+        assert code == exit_code
+        assert ("exponent 1001 above 1000" in err) == (power == 1001)
+
 
 class TestValidate:
     def test_valid(self, capsys, sl2_file):
@@ -225,6 +236,21 @@ class TestContracts:
         code, _, err = run_cli(capsys, "validate", "--input", "/nonexistent.json")
         assert code == 3
         assert "input error" in err
+
+    @pytest.mark.parametrize("flag", ["--input", "--poly"])
+    @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+    def test_unreadable_file_is_input_error(self, capsys, strange_file, tmp_path, flag,
+                                            unreadable):
+        path = tmp_path / "unreadable"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('[{"word": [1], "coeff": ["\u00e9"]}]'.encode("latin-1"))
+        files = {"--input": strange_file, "--poly": strange_file, flag: str(path)}
+        code, _, err = run_cli(capsys, "member", "--input", files["--input"],
+                               "--poly", files["--poly"], "--degree", "3", "--generic")
+        assert code == 3
+        assert err.startswith(f"input error: cannot read {path}")
 
     def test_bad_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

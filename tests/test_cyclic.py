@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,14 @@ class TestCanonicalRotation:
 
     def test_periodic_word(self):
         assert CyclicWord(3, (2, 1, 2, 1)).letters == (1, 2, 1, 2)
+
+    def test_every_short_word_is_keyed_by_its_least_rotation(self):
+        """Brute force over all words of length <= 6 on 3 letters, periodic ones included."""
+        for length in range(1, 7):
+            for w in itertools.product((1, 2, 3), repeat=length):
+                rotations = [w[r:] + w[:r] for r in range(length)]
+                assert CyclicWord(3, w).letters == min(rotations)
+                assert all(CyclicWord(3, rot) == CyclicWord(3, w) for rot in rotations)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCycle):

@@ -8,8 +8,8 @@ import strategies as sts
 from pbwlab.cyclic import CyclicWord
 from pbwlab.errors import InputError
 from pbwlab.freealg import NCPoly
-from pbwlab.jsonio import (hpoly_from_json, hpoly_to_json, ncpoly_from_json,
-                           ncpoly_to_json, parse_hpoly_string,
+from pbwlab.jsonio import (MAX_H_EXPONENT, hpoly_from_json, hpoly_to_json,
+                           ncpoly_from_json, ncpoly_to_json, parse_hpoly_string,
                            potential_from_json, potential_to_json,
                            presentation_from_json, presentation_to_json,
                            rational_from_json)
@@ -53,14 +53,57 @@ class TestScalarStrings:
         ("2 + 3*h^2", [2, 0, 3]),
         ("1/2h", [0, Fraction(1, 2)]),
         ("-1/2 + h - h", [Fraction(-1, 2)]),
+        ("2*", [2]),
+        ("2 h", [0, 2]),
+        (" 1-h", [1, -1]),
+        ("h^0", [1]),
+        ("h^01", [0, 1]),
+        ("0h", []),
+        ("2*+h", [2, 1]),
     ])
     def test_parse(self, text, coeffs):
         assert parse_hpoly_string(text) == HPoly(coeffs)
 
-    @pytest.mark.parametrize("text", ["", "h^", "1+", "(1-h)", "x", "1/0", "3/0*h"])
+    @pytest.mark.parametrize("text", ["", "h^", "1+", "(1-h)", "x", "1/0", "3/0*h", "1 ",
+                                      "h2", "h*2", "--h", "+", "1/", "h^2^3", "2^h"])
     def test_rejects(self, text):
         with pytest.raises(InputError):
             parse_hpoly_string(text)
+
+    def test_bounds(self):
+        """Exponents stop at MAX_H_EXPONENT; a number past int()'s digit limit is refused."""
+        assert parse_hpoly_string(f"h^{MAX_H_EXPONENT}") == HPoly.h(MAX_H_EXPONENT)
+        for text in (f"h^{MAX_H_EXPONENT + 1}", "1 + 2h^" + "9" * 30, "1" * 5000):
+            with pytest.raises(InputError):
+                parse_hpoly_string(text)
+
+    @given(st.data())
+    def test_rendered_terms_parse_to_their_sum(self, data):
+        """Signed terms, printed with random spacing and optional `*`, sum exactly."""
+        space = st.sampled_from(["", " ", "  "])
+        text, total = "", HPoly.zero()
+        for index in range(data.draw(st.integers(1, 4))):
+            negative = data.draw(st.booleans())
+            if negative or index or data.draw(st.booleans()):
+                text += data.draw(space) + ("-" if negative else "+")
+            num = data.draw(st.none() | st.integers(0, 99))
+            power = data.draw(st.integers(0, 6) if num is None else st.none() | st.integers(0, 6))
+            coeff = Fraction(-1 if negative else 1)
+            if num is not None:
+                text += data.draw(space) + str(num)
+                coeff *= num
+                den = data.draw(st.none() | st.integers(1, 9))
+                if den is not None:
+                    text += data.draw(space) + "/" + data.draw(space) + str(den)
+                    coeff /= den
+                if data.draw(st.booleans()):
+                    text += data.draw(space) + "*"
+            if power is not None:
+                text += data.draw(space) + "h"
+                if power != 1 or data.draw(st.booleans()):
+                    text += data.draw(space) + "^" + data.draw(space) + str(power)
+            total = total + HPoly([0] * (power or 0) + [coeff])
+        assert parse_hpoly_string(text) == total
 
 
 class TestNCPolyJson:

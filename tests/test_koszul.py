@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,16 @@ class TestSymbols:
         assert xi3(2, 1, 3) == (-1, ("xi3", 1, 2, 3))
         assert xi3(3, 1, 2) == (1, ("xi3", 1, 2, 3))
         assert xi3(1, 1, 2) == (0, None)
+
+    def test_xi3_matches_permutation_sign(self):
+        """Every index triple over 1..4: the even permutations of three are the rotations."""
+        for tri in itertools.product(range(1, 5), repeat=3):
+            if len(set(tri)) < 3:
+                assert xi3(*tri) == (0, None)
+                continue
+            ordered = tuple(sorted(tri))
+            even = {ordered[r:] + ordered[:r] for r in range(3)}
+            assert xi3(*tri) == (1 if tri in even else -1, ("xi3", *ordered))
 
     def test_kterm_kills_repeats(self):
         assert not kterm(3, [("xi2", 2, 2)])

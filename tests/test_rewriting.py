@@ -142,9 +142,10 @@ class TestHilbert:
         assert deep.dims == [1, 1, 0, 0]  # matches the saturated span oracle
         assert all(hd <= sd for hd, sd in zip(deep.dims, shallow.dims))
 
-    def test_stabilization_reports_unknown_at_cap(self):
+    def test_stabilization_reports_unknown_at_cap(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "MAX_EXTRA_DEPTH", 1)
         pres = _cascading_presentation()
-        rep = hilbert(pres, 3, a=Fraction(3), max_extra_depth=1)
+        rep = hilbert(pres, 3, a=Fraction(3))
         assert set(rep.verdicts) == {"unknown"}
 
     def test_filtration_required(self):
