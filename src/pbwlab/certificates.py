@@ -19,8 +19,8 @@ from .errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from .freealg import NCPoly, hbar_coefficient
 from .koszul import (Differential, KoszulPoly, Triple, apply_d, d1_from_presentation,
                      d2_default, d2_lie, d2_quadratic, triples)
-from .presentations import (LieData, Presentation, QuadData, lie_data_of,
-                            quad_data_of, validate)
+from .presentations import (LieData, Presentation, QuadData, check_tails, lie_data_of,
+                            quad_data_of)
 from .scalars import HPoly
 
 D2_CHOICES = ("default", "lie", "quadratic", "custom")
@@ -41,9 +41,11 @@ class CertificateReport:
 
 def build_differential(p: Presentation, d2_choice: str,
                        custom_d2: Optional[Dict[Triple, KoszulPoly]] = None) -> Differential:
-    report = validate(p)
-    if not report.valid:
-        raise NotDeformation("; ".join(report.problems))
+    """The differential of p for one d2 choice.  Checks only that the tails are divisible
+    by hbar (NotDeformation with `validate`'s text), not which certificate paths apply."""
+    valid, _, problems = check_tails(p)
+    if not valid:
+        raise NotDeformation("; ".join(problems))
     d1 = d1_from_presentation(p)
     if d2_choice == "default":
         d2 = d2_default(p.n)

@@ -5,7 +5,9 @@ antisymmetric) and xi_ijk (degree -2, totally antisymmetric).  Only these
 three degrees are represented; this is exactly what the nilpotence check
 d1 . d2 = 0 consumes.  A `Differential` holds the degree (-1) images d1 and
 the degree (-2) images d2; `apply_d` extends them by the graded Leibniz rule
-with the sign (-1)^(degree of the prefix).
+with the sign (-1)^(degree of the prefix).  A `Differential` converts its d1
+images to `KoszulPoly`s once, when built; `d2_default` computes its values once
+per n and hands each caller a fresh dict of them, never changed in place.
 
 Elements are `KoszulPoly`s: the sparse word-polynomial core of `freealg`
 with symbol tuples as letters, multiplied by the same `nc_mul` as `NCPoly`.
@@ -14,7 +16,8 @@ with symbol tuples as letters, multiplied by the same `nc_mul` as `NCPoly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Tuple
 
@@ -113,14 +116,8 @@ def kterm(n: int, symbols: Iterable[Tuple], coeff=HPoly.one()) -> KoszulPoly:
         kind = item[0]
         if kind == "x":
             word.append(("x", item[1]))
-        elif kind == "xi2":
-            s, sym = xi2(item[1], item[2])
-            if sym is None:
-                return KoszulPoly.zero(n)
-            sign *= s
-            word.append(sym)
-        elif kind == "xi3":
-            s, sym = xi3(item[1], item[2], item[3])
+        elif kind in ("xi2", "xi3"):
+            s, sym = (xi2 if kind == "xi2" else xi3)(*item[1:])
             if sym is None:
                 return KoszulPoly.zero(n)
             sign *= s
@@ -132,11 +129,15 @@ def kterm(n: int, symbols: Iterable[Tuple], coeff=HPoly.one()) -> KoszulPoly:
 
 @dataclass
 class Differential:
-    """Images of the degree -1 and degree -2 generators."""
+    """Images of the degree -1 and degree -2 generators; d1 also as `KoszulPoly`s."""
 
     n: int
     d1: Dict[Pair, NCPoly]
     d2: Dict[Triple, KoszulPoly]
+    d1_images: Dict[Pair, KoszulPoly] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.d1_images = {pair: KoszulPoly.from_ncpoly(v) for pair, v in self.d1.items()}
 
 
 def triples(n: int):
@@ -152,16 +153,22 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def d2_default(n: int) -> Dict[Triple, KoszulPoly]:
-    """Unperturbed values [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; empty for n < 3."""
-    out: Dict[Triple, KoszulPoly] = {}
+    """Unperturbed values [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; empty for n < 3.
+    A fresh dict on each call; the values, kept for the last 16 n, are shared: never change one."""
+    return dict(_d2_default_items(n))
+
+
+@lru_cache(maxsize=16)
+def _d2_default_items(n: int):
+    out = []
     for tri in triples(n):
         total = KoszulPoly.zero(n)
         for sa, sb, sc in _CYCLIC:
             s, t, u = tri[sa], tri[sb], tri[sc]
             total = total + kterm(n, [("x", s), ("xi2", t, u)])
             total = total + kterm(n, [("xi2", t, u), ("x", s)], -HPoly.one())
-        out[tri] = total
-    return out
+        out.append((tri, total))
+    return tuple(out)
 
 
 def d2_lie(data: LieData) -> Dict[Triple, KoszulPoly]:
@@ -215,11 +222,8 @@ def apply_d(diff: Differential, p: KoszulPoly):
         for pos, sym in enumerate(word):
             if sym[0] == "x":
                 continue
-            if sym[0] == "xi2":
-                image = KoszulPoly.from_ncpoly(diff.d1[(sym[1], sym[2])])
-            else:
-                image = diff.d2[(sym[1], sym[2], sym[3])]
-            left, right, scaled = word[:pos], word[pos + 1:], coeff * sign
+            image = diff.d1_images[sym[1:]] if sym[0] == "xi2" else diff.d2[sym[1:]]
+            left, right, scaled = word[:pos], word[pos + 1:], coeff if sign > 0 else -coeff
             add_terms(terms, ((left + iw + right, scaled * ic) for iw, ic in image.terms.items()))
             # crossing this symbol flips the sign iff its degree is odd
             if symbol_degree(sym) % 2 != 0:

@@ -172,8 +172,8 @@ class ValidationReport:
     problems: List[str]
 
 
-def validate(p: Presentation) -> ValidationReport:
-    """Check hbar-divisibility and degree bounds; name the applicable certificate paths."""
+def check_tails(p: Presentation) -> Tuple[bool, List[PairCheck], List[str]]:
+    """(valid, pair checks, problems): valid iff every tail is divisible by hbar."""
     checks: List[PairCheck] = []
     problems: List[str] = []
     for pair in p.pairs():
@@ -186,7 +186,12 @@ def validate(p: Presentation) -> ValidationReport:
     valid = not problems
     if not p.filtration_ok:
         problems.append("FiltrationUnbounded: some phi has x-degree > 2; Hilbert comparison disabled")
+    return valid, checks, problems
 
+
+def validate(p: Presentation) -> ValidationReport:
+    """Check hbar-divisibility and degree bounds; name the applicable certificate paths."""
+    valid, checks, problems = check_tails(p)
     paths: List[str] = []
     if valid:
         if lie_data_of(p) is not None:

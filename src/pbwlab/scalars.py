@@ -134,8 +134,13 @@ class HPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return HPoly(())
+        a, b = (self.coeffs, o.coeffs) if len(self.coeffs) <= len(o.coeffs) else (o.coeffs, self.coeffs)
+        if a == (1,):
+            return o if a is self.coeffs else self
+        if len(a) <= 1:  # a constant (or zero) scales the other operand's normalized coefficients
+            out = object.__new__(HPoly)
+            object.__setattr__(out, "coeffs", tuple(a[0] * c for c in b) if a else ())
+            return out
         # convolve integer coefficient lists; one division per coefficient at the end
         da, xs = clear_denominators(self.coeffs)
         db, ys = clear_denominators(o.coeffs)
@@ -179,7 +184,8 @@ class HPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("HPoly", self.coeffs))
+        # a constant (zero included) hashes like the Fraction it equals
+        return hash(self.coeff(0)) if self.is_constant() else hash(("HPoly", self.coeffs))
 
     def __repr__(self):
         return f"HPoly({list(self.coeffs)!r})"
@@ -494,7 +500,8 @@ class HRat:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(("HRat", self.num.coeffs, self.den.coeffs))
+        # with denominator 1 an HRat equals, and hashes like, its numerator
+        return hash(self.num) if self.is_polynomial() else hash(("HRat", self.num.coeffs, self.den.coeffs))
 
     def __repr__(self):
         return f"HRat({self.num!r}, {self.den!r})"

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import quadratic_residue_bruteforce
-from pbwlab.certificates import (certify, check_poisson, check_quadratic_condition,
-                                 jacobiator, obstruction)
+from pbwlab.certificates import (D2_CHOICES, certify, check_poisson,
+                                 check_quadratic_condition, jacobiator, obstruction)
 from pbwlab.errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from pbwlab.freealg import NCPoly, hbar_coefficient
 from pbwlab.koszul import triples
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
-                                  from_quadratic)
+                                  from_quadratic, validate)
 from pbwlab.cyclic import potential_to_presentation
 from pbwlab.rewriting import build_rules, member
 from pbwlab.scalars import HPoly
@@ -43,6 +43,30 @@ class TestCertify:
         p = Presentation(3, {(1, 2): NCPoly(3, {(1, 2): HPoly.one()})})
         with pytest.raises(NotDeformation):
             certify(p, "default")
+
+    @pytest.mark.parametrize("d2_choice", D2_CHOICES)
+    def test_not_deformation_text(self, d2_choice):
+        """Tails not divisible by h are named in validate's words, followed by the
+        filtration line when some tail also has x-degree > 2."""
+        h, one = HPoly.h(), HPoly.one()
+        cases = [
+            ({(1, 2): NCPoly(3, {(3,): one}), (2, 3): NCPoly(3, {(1,): HPoly([1, 1])})},
+             "NotDeformation: phi_12 is not divisible by h; "
+             "NotDeformation: phi_23 is not divisible by h"),
+            ({(1, 2): NCPoly(3, {(3,): HPoly([2, 1])}), (1, 3): NCPoly(3, {(1, 2, 3): h})},
+             "NotDeformation: phi_12 is not divisible by h; "
+             "FiltrationUnbounded: some phi has x-degree > 2; Hilbert comparison disabled"),
+            ({(2, 3): NCPoly(3, {(1, 1, 1): one, (2,): h})},
+             "NotDeformation: phi_23 is not divisible by h; "
+             "FiltrationUnbounded: some phi has x-degree > 2; Hilbert comparison disabled"),
+        ]
+        for phi, text in cases:
+            p = Presentation(3, phi)
+            assert "; ".join(validate(p).problems) == text
+            for fn in (certify, obstruction):
+                with pytest.raises(NotDeformation) as exc:
+                    fn(p, d2_choice)
+                assert str(exc.value) == text
 
     def test_custom_d2_equivalent_to_lie(self, sl2):
         from pbwlab.koszul import d2_lie

@@ -11,6 +11,7 @@ from oracles import apply_d_reference
 from pbwlab.cyclic import Potential, potential_to_presentation
 from pbwlab.errors import Inhomogeneous
 from pbwlab.freealg import NCPoly, commutator
+from pbwlab.certificates import build_differential
 from pbwlab.koszul import (Differential, KoszulPoly, apply_d, d1_from_presentation,
                            d2_default, d2_lie, d2_quadratic, kterm, triples,
                            xi2, xi3, xi3_generator)
@@ -123,6 +124,39 @@ class TestD2Quadratic:
         expected = (d2_default(3)[(1, 2, 3)]
                     + kterm(3, [("x", 1), ("xi2", 1, 2)], HPoly.h()))
         assert got == expected
+
+
+def _unperturbed(n):
+    """The default values written out from their formula, sharing nothing with d2_default."""
+    out = {}
+    for i, j, k in triples(n):
+        total = KoszulPoly.zero(n)
+        for s, t, u in ((i, j, k), (j, k, i), (k, i, j)):
+            total = (total + kterm(n, [("x", s), ("xi2", t, u)])
+                     - kterm(n, [("xi2", t, u), ("x", s)]))
+        out[(i, j, k)] = total
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_d2_default_is_fresh_and_unperturbed(n):
+    """Each call hands out a new dict, and neither a caller's changes to it nor
+    the corrections of d2_lie and d2_quadratic reach the next call."""
+    first = d2_default(n)
+    assert d2_default(n) is not first
+    first[(1, 2, 3)] = KoszulPoly.zero(n)
+    first.clear()
+    lie = LieData(n, {(1, 2, 1): Fraction(1), (1, 2, n): Fraction(-3, 2)})
+    quad = QuadData(n, {(1, 2, 1, 2): Fraction(1), (n - 1, n, 1, n): Fraction(2)})
+    perturbed = [d2_lie(lie), d2_quadratic(quad)]
+    expected = _unperturbed(n)
+    if n >= 3:  # the corrections are not zero, so a shared value changed in place would show
+        assert all(d != expected for d in perturbed)
+    again = d2_default(n)
+    assert again == expected
+    assert list(again) == triples(n)
+    assert all(list(again[tri].terms.items()) == list(expected[tri].terms.items())
+               for tri in again)
 
 
 class TestApplyD:
@@ -299,3 +333,36 @@ def test_apply_d_matches_product_reference():
             assert list(got.terms.items()) == expected, (kind, word)
             cases += 1
     assert cases >= 200
+
+
+def test_direct_differential_matches_build_differential(sl2, multiparameter_quantum,
+                                                        strange_presentation):
+    """A Differential built from NCPoly d1 images, as the tests above build it,
+    applies as the one build_differential returns: the same values in the same
+    key order, and both match the reference expansion."""
+    non_jacobi = LieData(3, {(1, 2, 1): Fraction(1), (2, 3, 3): Fraction(-1, 2)})
+    cases = [(from_lie(sl2), "lie", d2_lie(sl2)),
+             (from_lie(non_jacobi), "lie", d2_lie(non_jacobi)),
+             (from_quadratic(multiparameter_quantum), "quadratic",
+              d2_quadratic(multiparameter_quantum)),
+             (strange_presentation, "default", d2_default(3)),
+             (Presentation(4), "default", d2_default(4))]
+    for p, choice, d2 in cases:
+        n = p.n
+        direct = Differential(n, d1_from_presentation(p), d2)
+        built = build_differential(p, choice)
+        assert direct.d1 == built.d1 and direct.d2 == built.d2
+        assert all(isinstance(v, NCPoly) for v in direct.d1.values())
+        inputs = list(d2.values())
+        for tri in triples(n):
+            inputs.append(kterm(n, [("x", tri[2]), ("xi3", *tri), ("x", tri[0])], HPoly([1, -2])))
+        for s, t in itertools.combinations(range(1, n + 1), 2):
+            inputs.append(kterm(n, [("xi2", t, s), ("x", s)], HPoly.h()))
+            inputs.append(kterm(n, [("xi2", s, t), ("x", n), ("xi2", 1, n)]))
+        for word in inputs:
+            got = apply_d(direct, word)
+            assert list(got.terms.items()) == list(apply_d(built, word).terms.items())
+            expected = list(apply_d_reference(direct, word.terms).items())
+            if word.degree() == -1:
+                expected = [(tuple(sym[1] for sym in w), c) for w, c in expected]
+            assert list(got.terms.items()) == expected

@@ -100,6 +100,57 @@ def test_hpoly_product_matches_fraction_convolution(xs, ys):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+@given(sts.rationals(bound=50, max_denominator=36),
+       st.lists(sts.rationals(bound=50, max_denominator=36), max_size=6),
+       st.sampled_from(["hpoly", "fraction", "int"]))
+@example(Fraction(0), [Fraction(1), Fraction(-2)], "hpoly")
+@example(Fraction(0), [Fraction(3)], "int")
+@example(Fraction(-3, 4), [Fraction(0), Fraction(5, 6), Fraction(0), Fraction(-1)], "hpoly")
+@example(Fraction(-2), [Fraction(1, 2), Fraction(7)], "int")
+@example(Fraction(5, 3), [], "fraction")
+@example(Fraction(1), [Fraction(0), Fraction(-1, 3)], "hpoly")
+@example(Fraction(1), [Fraction(2)], "int")
+@example(Fraction(-1), [Fraction(1, 2), Fraction(0), Fraction(4)], "fraction")
+def test_constant_times_polynomial_matches_convolution(c, ys, kind):
+    """A constant operand, on either side, gives the general convolution product:
+    the same coefficient tuple of Fractions and no trailing zero."""
+    q = HPoly(ys)
+    value = Fraction(int(c)) if kind == "int" else c
+    const = {"hpoly": HPoly.const(value), "fraction": value, "int": int(c)}[kind]
+    expected = _fraction_convolution(HPoly.const(value).coeffs, q.coeffs)
+    for got in (const * q, q * const):
+        assert got.coeffs == tuple(expected)
+        assert all(type(v) is Fraction for v in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
+
+
+class TestHashMatchesEquality:
+    def test_constant_hpoly_is_found_among_numbers(self):
+        assert HPoly.const(3) == 3
+        assert len({HPoly.const(3), 3}) == 1
+        assert {3: "x"}.get(HPoly.const(3)) == "x"
+        assert {Fraction(1, 2): "y"}.get(HPoly.const(Fraction(1, 2))) == "y"
+        assert {0: "z"}.get(HPoly.zero()) == "z"
+        assert {HPoly.const(-2): "w"}.get(-2) == "w"
+
+    def test_hrat_over_one_is_found_as_its_numerator(self):
+        num = HPoly([1, -1, 2])
+        assert HRat(num) == num
+        assert len({HRat(num), num}) == 1
+        assert {num: "x"}.get(HRat(num)) == "x"
+        assert {3: "y"}.get(HRat(3)) == "y"
+        assert len({HRat(HPoly.zero()), HPoly.zero(), 0}) == 1
+        assert HRat(num, HPoly([0, 1])) != num
+
+    @given(sts.hpolys(bound=4), sts.hpolys(bound=4))
+    def test_equal_values_hash_alike(self, p, q):
+        for a, b in ((p, q), (HRat(p), q), (HRat(p), HRat(q))):
+            if a == b:
+                assert hash(a) == hash(b)
+        if p.is_constant():
+            assert hash(p) == hash(p.coeff(0)) and hash(HRat(p)) == hash(p.coeff(0))
+
+
 @given(sts.hpolys(), sts.hpolys(), sts.rationals())
 def test_eval_is_ring_homomorphism(p, q, a):
     assert (p * q).eval(a) == p.eval(a) * q.eval(a)
