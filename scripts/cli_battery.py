@@ -1,0 +1,114 @@
+"""Replay a fixed battery of in-process CLI runs and print a digest line per run.
+
+Each line is the argv (JSON), the exit code, and the sha256 of stdout and of
+stderr of one `pbwlab.cli.main(argv)` call.  The inputs are the files of
+`benchmarks/corpus`, the presentations of `mixed.json` and the potentials of
+`hrat.json`, plus broken, missing and non-UTF-8 inputs, written to a scratch
+directory that the runs use as their working directory; every path in an
+argv is relative to it, so the lines do not depend on where the repository
+lies.  Run the script once against each of two source trees and `diff` the
+outputs to see whether any report changed:
+
+    PYTHONPATH=src python3 scripts/cli_battery.py > after.txt
+    PYTHONPATH=<other checkout>/src python3 scripts/cli_battery.py > before.txt
+
+The generic completions that do not end (the cascading fixture and the
+`mixed.json` presentations, as `hilbert --generic`, generic `member` or
+`torsion`) are left out.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from pbwlab.cli import main as cli_main
+
+CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+BAD = ["bad/broken.json", "bad/latin1.json", "bad/missing.json", "bad"]
+
+
+def write_inputs() -> tuple:
+    """Write every input into the working directory: the --input paths, in
+    order, and those whose generic completion does not end."""
+    inputs, no_generic = [], {"corpus/cascading.json"}
+    os.makedirs("corpus")
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name != "cli_expected.json":
+            Path("corpus", path.name).write_bytes(path.read_bytes())
+            inputs.append(f"corpus/{path.name}")
+    for kind, key in (("mixed", "presentation"), ("hrat", "potential")):
+        os.makedirs(kind)
+        for k, entry in enumerate(json.loads((CORPUS / f"{kind}.json").read_text())):
+            name = f"{kind}/{kind}{k}.json"
+            Path(name).write_text(json.dumps({key: entry[key]} if key == "potential"
+                                             else entry[key]))
+            inputs.append(name)
+            if kind == "mixed":
+                no_generic.add(name)
+    os.makedirs("bad")
+    Path("bad/broken.json").write_text('{"n": 3, "phi": [')
+    Path("bad/latin1.json").write_bytes('{"n": 3, "phi": [], "note": "é"}'.encode("latin-1"))
+    return inputs + BAD, no_generic
+
+
+def battery(inputs: list, no_generic: set) -> list:
+    runs = []
+    for path in inputs:
+        generic = path not in no_generic
+        per_file = [["validate"], ["derive", "--var", "1"], ["from-potential"]]
+        for sub in ("certify", "obstruction"):
+            per_file += [[sub, "--d2", d2] for d2 in ("default", "lie", "quadratic")]
+        for sub in ("hilbert", "pbw"):
+            per_file += [[sub, "--degree", "3", "--at", a] for a in ("1", "1/2")]
+            per_file += [[sub, "--degree", "3", "--generic"]] if generic else []
+        for poly in ("corpus/T.json", "corpus/x1.json"):
+            modes = [["--at", "1"], ["--at", "1/2"]] + ([["--generic"]] if generic else [])
+            per_file += [["member", "--poly", poly, "--degree", "4", *mode] for mode in modes]
+        if generic:
+            per_file += [["torsion", "--element", "corpus/T.json", "--factor", f, "--degree", "4"]
+                         for f in ("1-h", "h")]
+        for fmt in ("text", "json"):
+            runs += [[args[0], "--input", path, *args[1:], "--format", fmt] for args in per_file]
+    sl2 = ["--input", "corpus/sl2.json"]
+    for bad in BAD:
+        runs += [["certify", *sl2, "--d2", "custom", "--d2-file", bad],
+                 ["member", *sl2, "--poly", bad, "--degree", "4", "--at", "1"],
+                 ["torsion", *sl2, "--element", bad, "--factor", "1-h", "--degree", "4"]]
+    runs += [["certify", *sl2, "--d2", "custom"],
+             ["hilbert", *sl2, "--degree", "3", "--at", "1/0"],
+             ["member", *sl2, "--poly", "corpus/T.json", "--degree", "4", "--at", "x"],
+             ["member", *sl2, "--poly", "corpus/T.json", "--degree", "9", "--at", "1"],
+             ["torsion", *sl2, "--element", "corpus/T.json", "--factor", "h^", "--degree", "4"],
+             ["torsion", *sl2, "--element", "corpus/x1.json", "--factor", "1-h", "--degree", "1"],
+             [], ["--version"], ["nosuch"], ["validate"], ["hilbert", *sl2, "--degree", "3"],
+             ["hilbert", *sl2, "--degree", "three", "--at", "1"],
+             ["member", *sl2, "--poly", "corpus/T.json", "--degree", "4", "--at", "1", "--generic"],
+             ["validate", *sl2, "--format", "yaml"]]
+    return runs
+
+
+def digest(argv: list) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    return f"{json.dumps(argv)}\t{code}\t{sha[0]}\t{sha[1]}"
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for argv in battery(*write_inputs()):
+                print(digest(argv), flush=True)
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

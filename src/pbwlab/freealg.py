@@ -52,6 +52,12 @@ def add_terms(terms: Dict[Hashable, object], pairs: Iterable) -> Dict[Hashable, 
     return terms
 
 
+def check_ambient(n: int, poly: "WordPoly") -> None:
+    """Raise `AmbientMismatch` unless poly lies over n generators."""
+    if poly.n != n:
+        raise AmbientMismatch(f"generator counts differ: {n} vs {poly.n}")
+
+
 class WordPoly:
     """Finitely supported map from words to scalars over n generators.
 
@@ -99,14 +105,10 @@ class WordPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
 
-    def _check_ambient(self, other: "WordPoly") -> None:
-        if self.n != other.n:
-            raise AmbientMismatch(f"generator counts differ: {self.n} vs {other.n}")
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check_ambient(other)
+        check_ambient(self.n, other)
         return self.adopt(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
@@ -133,7 +135,7 @@ def nc_mul(p: WordPoly, q: WordPoly) -> WordPoly:
     """Bilinear extension of word concatenation, for two polynomials of one type."""
     if type(p) is not type(q):
         raise TypeError(f"cannot multiply {type(p).__name__} by {type(q).__name__}")
-    p._check_ambient(q)
+    check_ambient(p.n, q)
     return p.adopt(p.n, add_terms({}, ((wp + wq, cp * cq)
                                        for wp, cp in p.terms.items()
                                        for wq, cq in q.terms.items())))

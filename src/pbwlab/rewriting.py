@@ -19,7 +19,10 @@ normal forms run over one common denominator, and new rules are the primitive
 rows of normal forms, at h = a after a fraction-free echelon step over the
 whole batch.  Intermediate rules still carry coefficients of hundreds of
 bits, where field arithmetic would pay a gcd for every product and sum.
-`rules` derives the Fraction or HRat tails from the rows.  Normal forms look a
+`rules` derives the Fraction or HRat tails from the rows.  A polynomial enters
+the ring in one conversion, `Ring.row`, from its own coefficients: at h = a in
+integers, no Fraction built.  `member` and torsion's separation probes
+answer from the ring normal form, without field values.  Normal forms look a
 word's rewrite up in a cache per rule set, which `_set_rule` and `_drop_rule`,
 the only writers of the rows, clear.
 
@@ -40,28 +43,64 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, gcd
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
-from .freealg import NCPoly, Word, add_terms, deglex_key, specialize
+from .freealg import NCPoly, Word, add_terms, check_ambient, deglex_key, specialize
 from .presentations import Presentation
-from .scalars import (HPoly, HRat, _ZPoly, _zpoly_gcd, clear_denominators,
+from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, clear_denominators,
                       clear_hrat_denominators, rational_roots)
 
 TermDict = Dict[Word, object]
 
 
-class Ring(namedtuple("Ring", "unit gcd clear to_field field_poly primitive_row inverted")):
+class Ring(namedtuple("Ring", "unit gcd clear to_field row primitive_row inverted")):
     """The ring a completion reduces in, inside the field of its coefficients.
 
     clear(values) is (d, nums) over one denominator d, to_field(v, d) is v / d,
-    field_poly(p, a) the field terms of p (at h = a over Q), and primitive_row(d,
-    values) is (d / c, [v / c]) for c the gcd of d and the values, scaled so that
-    d / c is positive in Z and has a positive lead in Z[h]; clear returns that
-    primitive form already.  inverted(lc, d) is the monic numerator of lc / d
-    when it has a root (None in Z): the polynomial that a rule with lead
-    coefficient lc / d inverts."""
+    row(p, a) is clear of the field terms of p (at h = a over Q) as (d, {word:
+    num}), and primitive_row(d, values) is (d / c, [v / c]) for c the gcd of d
+    and the values, scaled so that d / c is positive in Z and has a positive
+    lead in Z[h]; clear and row return that primitive form already.
+    inverted(lc, d) is the monic numerator of lc / d when it has a root (None
+    in Z): the polynomial that a rule with lead coefficient lc / d inverts."""
+
+
+def _scaled_coeffs(poly: NCPoly) -> tuple:
+    """clear_denominators of the h^k coefficients c_k of poly's Fraction and HPoly
+    coefficients, split back per word: (L, {word: [L * c_k]})."""
+    coeffs = [c.coeffs if isinstance(c, HPoly) else (c,) for c in poly.terms.values()]
+    big, ints = clear_denominators([c for cs in coeffs for c in cs])
+    ints = iter(ints)
+    return big, {w: list(islice(ints, len(cs))) for w, cs in zip(poly.terms, coeffs)}
+
+
+def _int_row(poly: NCPoly, a) -> tuple:
+    """clear(specialize(poly, a)) without a Fraction per operation: at a = p/q,
+    L * q^D * sum(c_k * a^k), D the top h-degree, is the integer
+    sum(L * c_k * p^k * q^(D - k)); the row is then made primitive.  HRat
+    coefficients are specialized first: only their values need a field division."""
+    if any(isinstance(c, HRat) for c in poly.terms.values()):
+        poly = specialize(poly, a)
+    big, ints = _scaled_coeffs(poly)
+    p, q = _as_fraction(a).as_integer_ratio()
+    top = max(map(len, ints.values()), default=1) - 1
+    weights = [p ** k * q ** (top - k) for k in range(top + 1)]
+    row = {w: v for w, vs in ints.items() if (v := sum(map(mul, vs, weights)))}
+    den, nums = _primitive_int_row(big * q ** top, list(row.values()))
+    return den, dict(zip(row, nums))
+
+
+def _zpoly_row(poly: NCPoly, a=None) -> tuple:
+    """_clear_zpolys of poly's coefficients: L * c over L when they are polynomials."""
+    if any(isinstance(c, HRat) for c in poly.terms.values()):
+        terms = poly.with_hrat_coeffs().terms
+        den, nums = _clear_zpolys(terms.values())
+        return den, dict(zip(terms, nums))
+    big, ints = _scaled_coeffs(poly)
+    return _ZPoly((big,)), {w: _ZPoly(v) for w, v in ints.items()}
 
 
 def _primitive_int_row(den: int, values: list) -> tuple:
@@ -97,12 +136,9 @@ def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
     return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
 
 
-INTEGERS = Ring(1, gcd, clear_denominators, Fraction,
-                lambda poly, a: specialize(poly, a).terms,
+INTEGERS = Ring(1, gcd, clear_denominators, Fraction, _int_row,
                 _primitive_int_row, lambda lc, den: None)
-ZPOLYS = Ring(_ZPoly((1,)), _zpoly_gcd, _clear_zpolys,
-              _zpoly_to_field,
-              lambda poly, a: poly.with_hrat_coeffs().terms,
+ZPOLYS = Ring(_ZPoly((1,)), _zpoly_gcd, _clear_zpolys, _zpoly_to_field, _zpoly_row,
               _primitive_zpoly_row, _inverted_zpoly)
 
 
@@ -126,11 +162,10 @@ class RewriteSystem:
         self.excluded: List[HPoly] = []
         self._resolved: set = set()
         for pair in p.pairs():
-            rel = self.ring.field_poly(p.relation(*pair), a)
+            den, rel = self.ring.row(p.relation(*pair), a)
             if not rel:
                 raise BadSpecialization(pair, a)
-            den, nums = self.ring.clear(rel.values())
-            self._add_poly(den, dict(zip(rel, nums)), queue=None)
+            self._add_poly(den, rel, queue=None)
 
     def _note_inversion(self, m: Optional[HPoly]) -> None:
         if m is not None and all(m != seen for seen in self.excluded):
@@ -239,7 +274,9 @@ class RewriteSystem:
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
-        return NCPoly.adopt(self.n, self.reduce_dict(self.ring.field_poly(p, self.a)))
+        check_ambient(self.n, p)
+        den, out = self.reduce_ring(*self.ring.row(p, self.a))
+        return NCPoly.adopt(self.n, {w: self.ring.to_field(v, den) for w, v in out.items()})
 
     def _retire(self, lead: Word) -> list:
         """Drop the rules whose leads contain lead; their polynomials (den, terms)."""
@@ -526,11 +563,12 @@ def member(system: RewriteSystem, p: NCPoly) -> bool:
     """Ideal membership over the system's field, exact within the certified degree."""
     if system.complete_through is None:
         raise InputError("membership needs a completed system")
+    check_ambient(system.n, p)
     if not p.terms:
         return True
     if p.deg_x() > system.complete_through:
         raise OutOfRange(f"degree {p.deg_x()} exceeds certified degree {system.complete_through}")
-    return not system.reduce(p)
+    return not system.reduce_ring(*system.ring.row(p, system.a))[1]
 
 
 # -- membership over Q[h] ----------------------------------------------------
@@ -560,6 +598,7 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     rows of any other length never meet the target's cells.  Otherwise every
     length up to max_word_degree is.
     """
+    check_ambient(p.n, target)
     target = target.with_hpoly_coeffs()
     for w, c in target.terms.items():
         if len(w) > max_word_degree or c.degree > max_h_degree:
@@ -660,6 +699,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
     element itself is not; the first fact is certified by an explicit bounded
     combination, the second by a specialization with a nonzero normal form.
     """
+    check_ambient(p.n, element)
     if not element.terms:
         raise InputError("the probed element must be nonzero")
     if not factor:
@@ -670,7 +710,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
     h_bound = (max(c.degree for c in element.terms.values()) + factor.degree + degree + 2)
 
     generic = build_rules(p, "generic").complete(degree)
-    if generic.reduce(element):
+    if generic.reduce_ring(*generic.ring.row(element, None))[1]:
         return TorsionOutcome(
             "refuted",
             "factor*T is not in the ideal even with rational-function coefficients",
@@ -688,7 +728,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
             special = build_rules(p, "at", a).complete(degree)
         except BadSpecialization:
             continue
-        if special.reduce(element):
+        if special.reduce_ring(*special.ring.row(element, a))[1]:
             refuting = a
             break
 

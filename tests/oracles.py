@@ -4,7 +4,8 @@ Nothing here calls the rewriting or certificate machinery: dimensions come
 from exact row reduction of explicit relation multiples, residue
 expansions from direct index summation, and differentials of Koszul words
 from plain dict products.  `reduce_ring_reference` reads a rewrite system's
-rule rows but calls none of its methods.  Disagreement with the library is a
+rule rows but calls none of its methods, and `ring_row_reference` calls only
+the given ring's `clear`.  Disagreement with the library is a
 build failure, not a tolerance question.
 """
 
@@ -231,13 +232,21 @@ def _inverted_hpoly(lc: HPoly, den: HPoly):
     return monic_reference(num) if num.degree >= 1 else None
 
 
+def ring_row_reference(ring, poly: NCPoly, a):
+    """`Ring.row` in two steps: the field terms of poly (its values at h = a,
+    or its Q(h) coefficients when a is None), then ring.clear of them."""
+    terms = specialize(poly, a).terms if a is not None else poly.with_hrat_coeffs().terms
+    den, nums = ring.clear(terms.values())
+    return den, dict(zip(terms, nums))
+
+
 # The generic completion ring over Q[h]: rows lead -> (E, row) with E monic
 # and gcd(E, row) = 1 in Q[h], every gcd a Euclidean one in Fractions.  It has
 # the fields of `pbwlab.rewriting.Ring`, so a RewriteSystem built with it in
 # place of the Z[h] ring completes the same system in other arithmetic.
-QhRing = namedtuple("QhRing", "unit gcd clear to_field field_poly primitive_row inverted")
+QhRing = namedtuple("QhRing", "unit gcd clear to_field row primitive_row inverted")
 QH_RING = QhRing(HPoly.one(), hpoly_gcd_reference, clear_hrat_denominators, HRat,
-                 lambda poly, a: poly.with_hrat_coeffs().terms,
+                 lambda poly, a: ring_row_reference(QH_RING, poly, a),
                  _primitive_hpoly_row, _inverted_hpoly)
 
 

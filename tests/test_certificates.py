@@ -185,7 +185,7 @@ def test_lie_certificate_iff_jacobi(data):
         assert ob.hbar_order >= 2
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(sts.quad_datas(3))
 def test_quadratic_certificate_iff_condition(data):
     report = certify(from_quadratic(data), "quadratic")

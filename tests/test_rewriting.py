@@ -6,17 +6,17 @@ from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import (QH_RING, closure_pivots, hpoly_gcd_reference,
                      module_membership_reference, normal_form_reference,
-                     reduce_ring_reference, words_up_to)
+                     reduce_ring_reference, ring_row_reference, words_up_to)
 from pbwlab import rewriting
-from pbwlab.errors import (BadSpecialization, FiltrationUnbounded, InputError,
-                           OutOfRange)
-from pbwlab.freealg import NCPoly, specialize
+from pbwlab.errors import (AmbientMismatch, BadSpecialization, FiltrationUnbounded,
+                           InputError, OutOfRange)
+from pbwlab.freealg import NCPoly, nc_mul, specialize
 from pbwlab.jsonio import ncpoly_from_json, presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
@@ -905,7 +905,7 @@ class TestTorsion:
 class TestConfluence:
     @staticmethod
     def _random_reduce(system, poly, rng):
-        terms = dict(system.ring.field_poly(poly, system.a))
+        terms = dict(poly.terms)
         while True:
             sites = []
             for w in terms:
@@ -969,3 +969,125 @@ def test_reduce_idempotent(data, poly):
     system = build_rules(from_lie(data), "generic").complete(4)
     once = system.reduce(poly)
     assert system.reduce(once) == once
+
+
+# -- polynomials enter the ring in one conversion ----------------------------
+
+_COEFFICIENT_KINDS = {"fraction": sts.rationals(5, 7), "hpoly": sts.hpolys(3, 5),
+                      "hrat": sts.hrats()}
+
+
+@st.composite
+def _kind_polys(draw):
+    """NCPolys over 3 generators whose coefficients are of one or several kinds."""
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(_COEFFICIENT_KINDS)), min_size=1)))
+    coeff = st.one_of(*(_COEFFICIENT_KINDS[kind] for kind in kinds))
+    return NCPoly(3, draw(st.dictionaries(sts.words(3, 3), coeff, max_size=5)))
+
+
+def _assert_same_row(got, expected):
+    (den, row), (ref_den, ref_row) = got, expected
+    assert den == ref_den and type(den) is type(ref_den)
+    assert row == ref_row and list(row) == list(ref_row)
+    assert [type(v) for v in row.values()] == [type(v) for v in ref_row.values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kind_polys(), st.sampled_from([Fraction(0), 1, -1, Fraction(1), "1/2",
+                                       Fraction(1, 2), Fraction(-7, 3), "22/7"]))
+@example(NCPoly(3), Fraction(1, 2))
+@example(NCPoly(3, {(1,): HPoly([Fraction(1, 3), 0, Fraction(-2, 5)]), (2, 1): Fraction(3, 4),
+                    (): HRat(HPoly([1]), HPoly([2, 1]))}), Fraction(-7, 3))
+@example(NCPoly(3, {(1, 2): HPoly([0, 2]), (2,): HPoly([-1, 1])}), 1)
+def test_ring_row_matches_two_step_reference(poly, a):
+    """`Ring.row` gives the clear of the field terms: the same den, values, value
+    types and key order, at h = a in Z and over Q(h) in Z[h]."""
+    try:
+        expected = ring_row_reference(rewriting.INTEGERS, poly, a)
+    except ZeroDivisionError:  # an HRat coefficient's denominator vanishes at a
+        with pytest.raises(ZeroDivisionError):
+            rewriting.INTEGERS.row(poly, a)
+    else:
+        _assert_same_row(rewriting.INTEGERS.row(poly, a), expected)
+    _assert_same_row(rewriting.ZPOLYS.row(poly, None),
+                     ring_row_reference(rewriting.ZPOLYS, poly, None))
+
+
+def _member_cases(rng, pres, count):
+    """Seeded polynomials of degree <= 3 over pres's generators: half random,
+    half relation multiples u * r * v, every other one of those plus h * x_i."""
+    n, out = pres.n, []
+    relations = [pres.relation(*pair) for pair in pres.pairs()]
+    for k in range(count):
+        poly = NCPoly(n, {tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3))):
+                          HPoly([rng.choice(_RATIONALS), rng.choice([0, 1, -2])])
+                          for _ in range(rng.randint(1, 3))})
+        if k % 2:
+            rel = rng.choice(relations)
+            room = 3 - rel.deg_x()
+            u = tuple(rng.randint(1, n) for _ in range(rng.randint(0, room)))
+            v = tuple(rng.randint(1, n) for _ in range(rng.randint(0, room - len(u))))
+            poly = nc_mul(nc_mul(NCPoly.word(n, u, HPoly([rng.choice(_RATIONALS), 1])), rel),
+                          NCPoly.word(n, v, HPoly.one()))
+            if k % 4 == 1:
+                poly = poly + NCPoly.word(n, (rng.randint(1, n),), HPoly.h())
+        out.append(poly)
+    return out
+
+
+def test_member_reads_the_ring_row(sl2, strange_presentation):
+    """member answers from the ring row as the field normal form does: p is a
+    member exactly when reduce_dict of its field terms leaves none."""
+    rng = random.Random(20150)
+    cases = [(from_lie(sl2), a) for a in (Fraction(1), Fraction(1, 2), None)]
+    cases += [(strange_presentation, a) for a in (Fraction(1), Fraction(-7, 3), None)]
+    cases += [(_cascading_presentation(), a) for a in (Fraction(1, 2), Fraction(1))]
+    answers = set()
+    for pres, a in cases:
+        system = (build_rules(pres, "generic") if a is None
+                  else build_rules(pres, "at", a)).complete(4)
+        for poly in _member_cases(rng, pres, 24):
+            terms = (poly.with_hrat_coeffs() if a is None else specialize(poly, a)).terms
+            answer = member(system, poly)
+            assert answer == (not system.reduce_dict(terms)), (a, poly)
+            answers.add((a is None, answer))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("a", [Fraction(1), 1, "1"])
+def test_vanishing_relation_names_its_pair(a):
+    """A relation that vanishes at h = a still raises BadSpecialization with
+    its pair and value, after the pairs before it were installed."""
+    h = HPoly.h()
+    p = Presentation(3, {(1, 3): NCPoly(3, {(2,): h}),
+                         (2, 3): NCPoly(3, {(2, 3): h, (3, 2): -h})})
+    assert not ring_row_reference(rewriting.INTEGERS, p.relation(2, 3), a)[1]
+    with pytest.raises(BadSpecialization) as caught:
+        build_rules(p, "at", a)
+    assert caught.value.pair == (2, 3) and caught.value.value == a
+    build_rules(p, "at", Fraction(2))
+    build_rules(p, "generic")
+
+
+class TestAmbientMismatch:
+    """A polynomial over another generator count is rejected, not read with
+    letters outside the system's deglex ranks."""
+
+    def test_member(self, sl2):
+        system = build_rules(from_lie(sl2), "at", Fraction(1)).complete(4)
+        with pytest.raises(AmbientMismatch, match="generator counts differ: 3 vs 4"):
+            member(system, NCPoly(4, {(4,): Fraction(1)}))
+
+    def test_reduce(self, sl2):
+        system = build_rules(from_lie(sl2), "generic").complete(3)
+        with pytest.raises(AmbientMismatch):
+            system.reduce(NCPoly(2, {(2, 1): HPoly.one()}))
+
+    def test_torsion_check(self, strange_presentation):
+        T = NCPoly(4, {(4, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
+        with pytest.raises(AmbientMismatch):
+            torsion_check(strange_presentation, T, HPoly([1, -1]), 5)
+
+    def test_module_membership(self, strange_presentation):
+        with pytest.raises(AmbientMismatch):
+            module_membership(strange_presentation, NCPoly(2, {(2, 1): HPoly.one()}), 3, 2)

@@ -41,3 +41,13 @@ def test_survey_quantum_deformations():
     assert "   0    0    0       pass         pass    [1, 3, 6, 10, 15]" in lines
     assert ("   2    2    2       fail         fail    [1, 3, 6, 10, 15]"
             "  <- PBW without certificate") in lines
+
+
+def test_cli_battery():
+    lines = run_script("cli_battery.py")
+    assert len(lines) == 1492
+    fields = [line.split("\t") for line in lines]
+    assert all(len(f) == 4 and len(f[2]) == len(f[3]) == 64 for f in fields)
+    assert len({f[0] for f in fields}) == len(fields)  # every argv once
+    # no run ends in an internal error; every outcome code occurs
+    assert {f[1] for f in fields} == {"0", "1", "2", "3"}
