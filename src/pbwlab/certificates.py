@@ -1,8 +1,9 @@
 """Certificates and obstructions for the PBW property of a deformed presentation.
 
 The central check composes the perturbed differentials: for every triple
-i < j < k the element d1(d2(xi_ijk)) is computed exactly over Q[h], and the
-certificate passes iff all of these vanish.  A pass establishes the
+i < j < k the element d1(d2(xi_ijk)) is computed exactly over Q[h] (summed
+on Z[h] rows by `koszul.residues`), and the certificate passes iff all of
+these vanish.  A pass establishes the
 descending-filtration PBW-like property, hence PBW at all but countably many
 parameter values; with linear relation tails, at every value.  On failure the
 lowest hbar-order coefficients of the residues generate the obstruction.
@@ -17,8 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from .freealg import NCPoly, hbar_coefficient
-from .koszul import (Differential, KoszulPoly, Triple, apply_d, d1_from_presentation,
-                     d2_default, d2_lie, d2_quadratic, triples)
+from .koszul import (Differential, KoszulPoly, Triple, custom_entries,
+                     d1_from_presentation, d2_view, default_entries, lie_entries,
+                     quadratic_entries, residues, triples)
 from .presentations import (LieData, Presentation, QuadData, check_tails, lie_data_of,
                             quad_data_of)
 from .scalars import HPoly
@@ -39,27 +41,26 @@ class CertificateReport:
         return self.verdict == "pass"
 
 
-def build_differential(p: Presentation, d2_choice: str,
-                       custom_d2: Optional[Dict[Triple, KoszulPoly]] = None) -> Differential:
-    """The differential of p for one d2 choice.  Checks only that the tails are divisible
-    by hbar (NotDeformation with `validate`'s text), not which certificate paths apply."""
+def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple, KoszulPoly]],
+                lie: Optional[LieData]) -> dict:
+    """Entries of the chosen d2, lie being lie_data_of(p).  Checks only that the tails
+    are divisible by hbar (NotDeformation with `validate`'s text), not which certificate
+    paths apply."""
     valid, _, problems = check_tails(p)
     if not valid:
         raise NotDeformation("; ".join(problems))
-    d1 = d1_from_presentation(p)
     if d2_choice == "default":
-        d2 = d2_default(p.n)
-    elif d2_choice == "lie":
-        data = lie_data_of(p)
-        if data is None:
+        return default_entries(p.n)
+    if d2_choice == "lie":
+        if lie is None:
             raise PathMismatch("relation tails are not h * linear; the lie differential does not apply")
-        d2 = d2_lie(data)
-    elif d2_choice == "quadratic":
+        return lie_entries(lie)
+    if d2_choice == "quadratic":
         data = quad_data_of(p)
         if data is None:
             raise PathMismatch("relation tails are not h * quadratic; the quadratic differential does not apply")
-        d2 = d2_quadratic(data)
-    elif d2_choice == "custom":
+        return quadratic_entries(data)
+    if d2_choice == "custom":
         if custom_d2 is None:
             raise PathMismatch("custom differential requested but none supplied")
         missing = [tri for tri in triples(p.n) if tri not in custom_d2]
@@ -71,22 +72,28 @@ def build_differential(p: Presentation, d2_choice: str,
             for word in value.terms:
                 if sum(1 for sym in word if sym[0] == "xi2") != 1 or any(sym[0] == "xi3" for sym in word):
                     raise PathMismatch(f"custom value for {tri} must carry exactly one xi symbol per word")
-        d2 = custom_d2
-    else:
-        raise PathMismatch(f"unknown d2 choice {d2_choice!r}")
-    return Differential(p.n, d1, d2)
+        return custom_entries({tri: custom_d2[tri] for tri in triples(p.n)})
+    raise PathMismatch(f"unknown d2 choice {d2_choice!r}")
+
+
+def build_differential(p: Presentation, d2_choice: str,
+                       custom_d2: Optional[Dict[Triple, KoszulPoly]] = None) -> Differential:
+    """The differential of p for one d2 choice, with the checks of `certify`."""
+    entries = _d2_entries(p, d2_choice, custom_d2, lie_data_of(p) if d2_choice == "lie" else None)
+    d2 = custom_d2 if d2_choice == "custom" else d2_view(p.n, entries)
+    return Differential(p.n, d1_from_presentation(p), d2)
 
 
 def certify(p: Presentation, d2_choice: str = "default",
             custom_d2: Optional[Dict[Triple, KoszulPoly]] = None) -> CertificateReport:
-    """Check d1 . d2 = 0 on every xi_ijk; exact over Q[h]."""
-    diff = build_differential(p, d2_choice, custom_d2)
-    residues = {tri: apply_d(diff, diff.d2[tri]) for tri in triples(p.n)}
-    passed = all(not r for r in residues.values())
+    """Check d1 . d2 = 0 on every xi_ijk; exact over Q[h], computed on Z[h] rows."""
+    lie = lie_data_of(p)
+    found = residues(p, _d2_entries(p, d2_choice, custom_d2, lie))
+    passed = all(not r for r in found.values())
     claims: List[str] = []
     if passed:
         claims.append("descending-filtration PBW-like property established")
-        if lie_data_of(p) is not None:
+        if lie is not None:
             claims.append("PBW holds at every specialization h=a (linear relation tails)")
         else:
             claims.append("PBW holds for all but at most countably many specializations h=a; "
@@ -96,7 +103,7 @@ def certify(p: Presentation, d2_choice: str = "default",
     else:
         claims.append("certificate failed for this d2 choice; the check is sufficient only, "
                       "so the descending-filtration PBW-like property remains inconclusive")
-    return CertificateReport("pass" if passed else "fail", d2_choice, p.n, residues, claims)
+    return CertificateReport("pass" if passed else "fail", d2_choice, p.n, found, claims)
 
 
 def jacobiator(data: LieData, i: int, j: int, k: int) -> NCPoly:

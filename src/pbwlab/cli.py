@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -48,7 +49,10 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"bad rational {text!r}") from exc
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call: building
+    costs about 30 parses, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="pbwlab",
         description="PBW workbench: certificates, obstructions, cyclic calculus, "

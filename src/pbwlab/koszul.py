@@ -3,28 +3,36 @@
 The complex is the free graded algebra on x_i (degree 0), xi_ij (degree -1,
 antisymmetric) and xi_ijk (degree -2, totally antisymmetric).  Only these
 three degrees are represented; this is exactly what the nilpotence check
-d1 . d2 = 0 consumes.  A `Differential` holds the degree (-1) images d1 and
-the degree (-2) images d2; `apply_d` extends them by the graded Leibniz rule
-with the sign (-1)^(degree of the prefix).  A `Differential` converts its d1
-images to `KoszulPoly`s once, when built; `d2_default` computes its values once
-per n and hands each caller a fresh dict of them, never changed in place.
+d1 . d2 = 0 consumes.
 
-Elements are `KoszulPoly`s: the sparse word-polynomial core of `freealg`
-with symbol tuples as letters, multiplied by the same `nc_mul` as `NCPoly`.
-`apply_d` adds each Leibniz term straight into one dict with `add_terms`.
+The check runs on Z[h] (`_ZPoly`, the kernel of `rewriting`).  `d1_rows`
+reads every d1(xi_pq) straight from the tails over one integer denominator.
+A d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v
+and a Z[h] numerator c over the triple's denominator.  The default, Lie and
+quadratic entries are built from their formulas; a custom d2 enters through
+the ring-row clearing of `freealg`.  `residues` sums every c * u d1(xi_pq) v
+of a triple in one dict and turns only its nonzero words into `HPoly`s.
+
+`HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
+`d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
+a `Differential`'s d1 and d2 images by the graded Leibniz rule with the sign
+(-1)^(degree of the prefix), adding each term into one dict with `add_terms`.
+`KoszulPoly` is the sparse word-polynomial core of `freealg` with symbol
+tuples as letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Tuple
 
 from .errors import BadIndex, Inhomogeneous
-from .freealg import NCPoly, WordPoly, add_terms, nc_mul
+from .freealg import NCPoly, WordPoly, _scaled_coeffs, _zpoly_row, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
-from .scalars import HPoly
+from .scalars import HPoly, HRat, _ZPoly, clear_denominators
 
 Symbol = Tuple
 Pair = Tuple[int, int]
@@ -149,60 +157,169 @@ def d1_from_presentation(p: Presentation) -> Dict[Pair, NCPoly]:
     return {pair: p.relation(*pair) for pair in p.pairs()}
 
 
+# The entries of a d2 are {triple: (den, [(u, (p, q), v, c)])}: each term
+# c * u xi_pq v / den of its value, with x words u and v, p < q, and c and the
+# denominator den in Z[h].  No module-level typing alias over `_ZPoly`: typing
+# caches one per imported copy of the class, and in a process that imports
+# pbwlab afresh several times that raised the peak memory by about 5 %.
+
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def d2_default(n: int) -> Dict[Triple, KoszulPoly]:
-    """Unperturbed values [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; empty for n < 3.
-    A fresh dict on each call; the values, kept for the last 16 n, are shared: never change one."""
-    return dict(_d2_default_items(n))
+def _slots(tri: Triple):
+    return [(tri[a], tri[b], tri[c]) for a, b, c in _CYCLIC]
 
 
 @lru_cache(maxsize=16)
-def _d2_default_items(n: int):
+def _default_entries(n: int):
+    """Per triple, the entries of sum [x_s, xi_tu] over the cyclic slots (s, t, u)."""
     out = []
     for tri in triples(n):
-        total = KoszulPoly.zero(n)
-        for sa, sb, sc in _CYCLIC:
-            s, t, u = tri[sa], tri[sb], tri[sc]
-            total = total + kterm(n, [("x", s), ("xi2", t, u)])
-            total = total + kterm(n, [("xi2", t, u), ("x", s)], -HPoly.one())
-        out.append((tri, total))
+        entries = []
+        for s, t, u in _slots(tri):
+            sign, sym = xi2(t, u)
+            entries += [((s,), sym[1:], (), _ZPoly((sign,))), ((), sym[1:], (s,), _ZPoly((-sign,)))]
+        out.append((tri, tuple(entries)))
     return tuple(out)
 
 
-def d2_lie(data: LieData) -> Dict[Triple, KoszulPoly]:
-    """Default values plus the Chevalley-Eilenberg correction -h sum_p c_st^p xi_pu."""
-    out = d2_default(data.n)
-    h = HPoly.h()
-    for tri in triples(data.n):
-        corr = KoszulPoly.zero(data.n)
-        for sa, sb, sc in _CYCLIC:
-            s, t, u = tri[sa], tri[sb], tri[sc]
-            for pgen in range(1, data.n + 1):
-                cval = data.c_at(s, t, pgen)
-                if cval:
-                    corr = corr + kterm(data.n, [("xi2", pgen, u)], -(h * cval))
-        out[tri] = out[tri] + corr
+def _signed_table(n: int, values: dict) -> tuple:
+    """(L, {(i, j): [(rest, num)]}) for values {(i, j, *rest): q} read with i < j:
+    each pair in both orders, the swapped one negated, rests ascending, q = num / L.
+    Keys that the signed accessors of `LieData`/`QuadData` never read are left out."""
+    items = [(key, q) for key, q in sorted(values.items())
+             if q and 1 <= key[0] < key[1] <= n and all(1 <= r <= n for r in key[2:])]
+    den, nums = clear_denominators(q for _, q in items)
+    table: Dict[Pair, list] = {}
+    for ((i, j, *rest), _), num in zip(items, nums):
+        table.setdefault((i, j), []).append((rest, num))
+        table.setdefault((j, i), []).append((rest, -num))
+    return den, table
+
+
+def _with_corrections(n: int, den: int, correction) -> dict:
+    """Default entries scaled to the denominator den, then correction(s, t, u) per slot."""
+    scale = _ZPoly((den,))
+    out = {}
+    for tri, default in _default_entries(n):
+        entries = list(default) if den == 1 else [(u, pq, v, c * scale) for u, pq, v, c in default]
+        for slot in _slots(tri):
+            entries += correction(*slot)
+        out[tri] = (scale, entries)
     return out
 
 
-def d2_quadratic(data: QuadData) -> Dict[Triple, KoszulPoly]:
+def default_entries(n: int) -> dict:
+    """Unperturbed values [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; empty for n < 3."""
+    return _with_corrections(n, 1, lambda s, t, u: [])
+
+
+def lie_entries(data: LieData) -> dict:
+    """Default values plus the Chevalley-Eilenberg correction -h sum_p c_st^p xi_pu."""
+    den, c = _signed_table(data.n, data.c)
+
+    def correction(s, t, u):
+        signed = ((xi2(p, u), num) for (p,), num in c.get((s, t), ()))
+        return [((), sym[1:], (), _ZPoly((0, -sign * num))) for (sign, sym), num in signed if sign]
+
+    return _with_corrections(data.n, den, correction)
+
+
+def quadratic_entries(data: QuadData) -> dict:
     """Default values plus h sum alpha_tu^{ab} (xi_sa x_b + x_a xi_sb), cyclically."""
-    out = d2_default(data.n)
-    h = HPoly.h()
-    for tri in triples(data.n):
-        corr = KoszulPoly.zero(data.n)
-        for sa, sb, sc in _CYCLIC:
-            s, t, u = tri[sa], tri[sb], tri[sc]
-            for a in range(1, data.n + 1):
-                for b in range(1, data.n + 1):
-                    aval = data.alpha_at(t, u, a, b)
-                    if not aval:
-                        continue
-                    corr = corr + kterm(data.n, [("xi2", s, a), ("x", b)], h * aval)
-                    corr = corr + kterm(data.n, [("x", a), ("xi2", s, b)], h * aval)
-        out[tri] = out[tri] + corr
+    den, alpha = _signed_table(data.n, data.alpha)
+
+    def correction(s, t, u):
+        out = []
+        for (a, b), num in alpha.get((t, u), ()):
+            for left, (sign, sym), right in (((), xi2(s, a), (b,)), ((a,), xi2(s, b), ())):
+                if sign:
+                    out.append((left, sym[1:], right, _ZPoly((0, sign * num))))
+        return out
+
+    return _with_corrections(data.n, den, correction)
+
+
+def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
+    """Entries of KoszulPoly values with exactly one xi2 symbol per word, through
+    the ring-row clearing of `freealg`; each triple keeps its own denominator."""
+    out = {}
+    for tri, value in d2.items():
+        den, row = _zpoly_row(value)
+        entries = []
+        for word, num in row.items():
+            pos = next(k for k, sym in enumerate(word) if sym[0] == "xi2")
+            entries.append((tuple(sym[1] for sym in word[:pos]), word[pos][1:],
+                            tuple(sym[1] for sym in word[pos + 1:]), num))
+        out[tri] = (den, entries)
+    return out
+
+
+def _to_scalar(num: _ZPoly, den: _ZPoly):
+    """num / den as an HPoly, or an HRat when den is not a constant."""
+    if len(den) == 1:
+        return HPoly([Fraction(c, den[0]) for c in num])
+    return HRat(HPoly(num), HPoly(den))
+
+
+def d2_view(n: int, d2: dict) -> Dict[Triple, KoszulPoly]:
+    """The KoszulPoly values of d2's entries, terms in the order of the entries."""
+    out = {}
+    for tri, (den, entries) in d2.items():
+        out[tri] = KoszulPoly.adopt(n, add_terms({}, (
+            (tuple(("x", i) for i in u) + (("xi2", *pq),) + tuple(("x", i) for i in v),
+             _to_scalar(c, den)) for u, pq, v, c in entries)))
+    return out
+
+
+def d2_default(n: int) -> Dict[Triple, KoszulPoly]:
+    """The view of `default_entries`, fresh values on each call."""
+    return d2_view(n, default_entries(n))
+
+
+def d2_lie(data: LieData) -> Dict[Triple, KoszulPoly]:
+    """The view of `lie_entries`."""
+    return d2_view(data.n, lie_entries(data))
+
+
+def d2_quadratic(data: QuadData) -> Dict[Triple, KoszulPoly]:
+    """The view of `quadratic_entries`."""
+    return d2_view(data.n, quadratic_entries(data))
+
+
+def d1_rows(p: Presentation) -> tuple:
+    """(L, {pair: {word: num}}): d1(xi_pq) = x_p x_q - x_q x_p - phi_pq for p < q,
+    read from the tails with each Z[h] numerator over the one integer L."""
+    big, nums = _scaled_coeffs({(pair, w): c for pair, poly in p.phi.items()
+                                for w, c in poly.terms.items()})
+    one = _ZPoly((big,))
+    rows = {(i, j): {(i, j): one, (j, i): -one} for i, j in p.pairs()}
+    for (pair, word), num in nums.items():
+        row = rows[pair]
+        acc = row.get(word, _ZPoly()) + _ZPoly([-c for c in num])
+        if acc:
+            row[word] = acc
+        else:
+            del row[word]
+    return big, rows
+
+
+def residues(p: Presentation, d2: dict) -> Dict[Triple, NCPoly]:
+    """d1(d2(xi_ijk)) for every triple of d2: the sum of c * u d1(xi_pq) v over
+    its entries, in one dict of Z[h] numerators; only the nonzero words are
+    turned back into HPoly coefficients."""
+    big, rows = d1_rows(p)
+    out = {}
+    for tri, (den, entries) in d2.items():
+        acc: Dict[Tuple[int, ...], _ZPoly] = {}
+        for u, pq, v, c in entries:
+            for w, r in rows[pq].items():
+                key = u + w + v
+                term = c * r
+                old = acc.get(key)
+                acc[key] = term if old is None else old + term
+        den = den * _ZPoly((big,))
+        out[tri] = NCPoly.adopt(p.n, {w: _to_scalar(num, den) for w, num in acc.items() if num})
     return out
 
 

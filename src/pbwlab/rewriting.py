@@ -41,17 +41,18 @@ import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from math import comb, gcd
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
-from .freealg import NCPoly, Word, add_terms, check_ambient, deglex_key, specialize
+from .freealg import (NCPoly, Word, _clear_zpolys, _scaled_coeffs, _zpoly_row, add_terms,
+                      check_ambient, deglex_key, specialize)
 from .presentations import Presentation
 from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, clear_denominators,
-                      clear_hrat_denominators, rational_roots)
+                      rational_roots)
 
 TermDict = Dict[Word, object]
 
@@ -68,15 +69,6 @@ class Ring(namedtuple("Ring", "unit gcd clear to_field row primitive_row inverte
     in Z): the polynomial that a rule with lead coefficient lc / d inverts."""
 
 
-def _scaled_coeffs(poly: NCPoly) -> tuple:
-    """clear_denominators of the h^k coefficients c_k of poly's Fraction and HPoly
-    coefficients, split back per word: (L, {word: [L * c_k]})."""
-    coeffs = [c.coeffs if isinstance(c, HPoly) else (c,) for c in poly.terms.values()]
-    big, ints = clear_denominators([c for cs in coeffs for c in cs])
-    ints = iter(ints)
-    return big, {w: list(islice(ints, len(cs))) for w, cs in zip(poly.terms, coeffs)}
-
-
 def _int_row(poly: NCPoly, a) -> tuple:
     """clear(specialize(poly, a)) without a Fraction per operation: at a = p/q,
     L * q^D * sum(c_k * a^k), D the top h-degree, is the integer
@@ -84,7 +76,7 @@ def _int_row(poly: NCPoly, a) -> tuple:
     coefficients are specialized first: only their values need a field division."""
     if any(isinstance(c, HRat) for c in poly.terms.values()):
         poly = specialize(poly, a)
-    big, ints = _scaled_coeffs(poly)
+    big, ints = _scaled_coeffs(poly.terms)
     p, q = _as_fraction(a).as_integer_ratio()
     top = max(map(len, ints.values()), default=1) - 1
     weights = [p ** k * q ** (top - k) for k in range(top + 1)]
@@ -93,28 +85,9 @@ def _int_row(poly: NCPoly, a) -> tuple:
     return den, dict(zip(row, nums))
 
 
-def _zpoly_row(poly: NCPoly, a=None) -> tuple:
-    """_clear_zpolys of poly's coefficients: L * c over L when they are polynomials."""
-    if any(isinstance(c, HRat) for c in poly.terms.values()):
-        terms = poly.with_hrat_coeffs().terms
-        den, nums = _clear_zpolys(terms.values())
-        return den, dict(zip(terms, nums))
-    big, ints = _scaled_coeffs(poly)
-    return _ZPoly((big,)), {w: _ZPoly(v) for w, v in ints.items()}
-
-
 def _primitive_int_row(den: int, values: list) -> tuple:
     content = gcd(den, *values) if den > 0 else -gcd(den, *values)
     return den // content, [v // content for v in values]
-
-
-def _clear_zpolys(values) -> tuple:
-    """(d, nums), Q(h) values over one Z[h] denominator d with a positive lead.
-    Primitive: both the Q[h] and the Z clearing of reduced fractions are."""
-    den, nums = clear_hrat_denominators(values)
-    ints = iter(clear_denominators([c for p in (den, *nums) for c in p.coeffs])[1])
-    den, *nums = [_ZPoly(islice(ints, len(p.coeffs))) for p in (den, *nums)]
-    return den, nums
 
 
 def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:

@@ -5,8 +5,10 @@ from exact row reduction of explicit relation multiples, residue
 expansions from direct index summation, and differentials of Koszul words
 from plain dict products.  `reduce_ring_reference` reads a rewrite system's
 rule rows but calls none of its methods, and `ring_row_reference` calls only
-the given ring's `clear`.  Disagreement with the library is a
-build failure, not a tolerance question.
+the given ring's `clear`.  `certify_residues_reference` builds d2 from the
+Koszul formulas one `kterm` at a time and applies d1 through
+`apply_d_reference`.  Disagreement with the library is a build failure, not
+a tolerance question.
 """
 
 import heapq
@@ -429,3 +431,75 @@ def apply_d_reference(diff, terms):
             if sym[0] == "xi2":
                 sign = -sign
     return result
+
+
+_CYCLIC_SLOTS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def d2_reference(n, data=None):
+    """d2 values by the Koszul formula, one kterm at a time: for each triple,
+    [x_s, xi_tu] over the cyclic slots (s, t, u), plus h times the Lie
+    correction -sum_p c_st^p xi_pu (LieData) or the quadratic correction
+    sum alpha_tu^{ab} (xi_sa x_b + x_a xi_sb) (QuadData)."""
+    from pbwlab.koszul import KoszulPoly, kterm, triples
+    from pbwlab.presentations import LieData
+
+    h = HPoly.h()
+    out = {}
+    for tri in triples(n):
+        total = KoszulPoly.zero(n)
+        for slot in _CYCLIC_SLOTS:
+            s, t, u = (tri[k] for k in slot)
+            total = total + kterm(n, [("x", s), ("xi2", t, u)])
+            total = total + kterm(n, [("xi2", t, u), ("x", s)], -HPoly.one())
+            for p in range(1, n + 1):
+                if isinstance(data, LieData) and data.c_at(s, t, p):
+                    total = total + kterm(n, [("xi2", p, u)], -(h * data.c_at(s, t, p)))
+                for b in range(1, n + 1):
+                    if isinstance(data, QuadData) and data.alpha_at(t, u, p, b):
+                        value = h * data.alpha_at(t, u, p, b)
+                        total = total + kterm(n, [("xi2", s, p), ("x", b)], value)
+                        total = total + kterm(n, [("x", p), ("xi2", s, b)], value)
+        out[tri] = total
+    return out
+
+
+def certify_residues_reference(pres: Presentation, d2_choice, custom_d2=None):
+    """The residues d1(d2(xi_ijk)) of `certify`, through `apply_d_reference` on
+    d1 read from `Presentation.relation`, with `certify`'s checks and error texts."""
+    from pbwlab.errors import NotDeformation, PathMismatch
+    from pbwlab.koszul import Differential, triples
+    from pbwlab.presentations import check_tails, lie_data_of, quad_data_of
+
+    valid, _, problems = check_tails(pres)
+    if not valid:
+        raise NotDeformation("; ".join(problems))
+    n = pres.n
+    if d2_choice == "default":
+        d2 = d2_reference(n)
+    elif d2_choice in ("lie", "quadratic"):
+        data = (lie_data_of if d2_choice == "lie" else quad_data_of)(pres)
+        if data is None:
+            kind = "linear" if d2_choice == "lie" else "quadratic"
+            raise PathMismatch(f"relation tails are not h * {kind}; "
+                               f"the {d2_choice} differential does not apply")
+        d2 = d2_reference(n, data)
+    elif d2_choice == "custom":
+        if custom_d2 is None:
+            raise PathMismatch("custom differential requested but none supplied")
+        missing = [tri for tri in triples(n) if tri not in custom_d2]
+        if missing:
+            raise PathMismatch(f"custom differential misses triples {missing}")
+        for tri, value in custom_d2.items():
+            if value and value.degree() != -1:
+                raise PathMismatch(f"custom value for {tri} is not of degree -1")
+            for word in value.terms:
+                if [sym[0] for sym in word].count("xi2") != 1 or any(sym[0] == "xi3" for sym in word):
+                    raise PathMismatch(f"custom value for {tri} must carry exactly one xi symbol per word")
+        d2 = custom_d2
+    else:
+        raise PathMismatch(f"unknown d2 choice {d2_choice!r}")
+    diff = Differential(n, {pair: pres.relation(*pair) for pair in pres.pairs()}, d2)
+    return {tri: NCPoly(n, {tuple(sym[1] for sym in w): c
+                            for w, c in apply_d_reference(diff, d2[tri].terms).items()})
+            for tri in triples(n)}

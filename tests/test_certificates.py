@@ -1,18 +1,22 @@
+import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import quadratic_residue_bruteforce
-from pbwlab.certificates import (D2_CHOICES, certify, check_poisson,
+from oracles import certify_residues_reference, quadratic_residue_bruteforce
+from pbwlab import koszul
+from pbwlab.certificates import (D2_CHOICES, build_differential, certify, check_poisson,
                                  check_quadratic_condition, jacobiator, obstruction)
 from pbwlab.errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from pbwlab.freealg import NCPoly, hbar_coefficient
-from pbwlab.koszul import triples
+from pbwlab.koszul import d2_default, d2_lie, kterm, triples
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
-                                  from_quadratic, validate)
+                                  from_quadratic, lie_data_of, quad_data_of, validate)
 from pbwlab.cyclic import potential_to_presentation
 from pbwlab.rewriting import build_rules, member
 from pbwlab.scalars import HPoly
@@ -199,3 +203,127 @@ def test_quadratic_certificate_iff_condition(data):
 @given(sts.potentials(3, max_terms=2, max_len=5, h_divisible=True))
 def test_potential_certificate_always_passes(pot):
     assert certify(potential_to_presentation(pot), "default").passed
+
+
+def _tails(n):
+    """Tails with words of length 0, 1 and 2 and coefficients of h-degree up to 3;
+    one coefficient kind in five keeps its constant term, so some are no deformation."""
+    coeffs = st.lists(sts.rationals(2, 3), min_size=1, max_size=3)
+    divisible = coeffs.map(lambda cs: HPoly([0, *cs]))
+    coeff = st.one_of(divisible, divisible, divisible, divisible, coeffs.map(HPoly))
+    poly = st.dictionaries(sts.words(n, 2), coeff, min_size=1, max_size=3)
+    pairs = st.sampled_from(list(combinations(range(1, n + 1), 2)))
+    return st.dictionaries(pairs, poly.map(lambda d: NCPoly(n, d)), max_size=3) \
+        .map(lambda phi: Presentation(n, phi))
+
+
+@st.composite
+def _custom_d2(draw, n):
+    """The default values plus terms c * u xi_st v with c = h * (a + b h), a and b
+    fractions; now and then a triple is missing or a value has mixed degrees."""
+    d2 = d2_default(n)
+    for tri in d2:
+        for _ in range(draw(st.integers(0, 3))):
+            s, t = draw(st.permutations(range(1, n + 1)))[:2]
+            u, v = draw(sts.words(n, 2)), draw(sts.words(n, 2))
+            symbols = [("x", i) for i in u] + [("xi2", s, t)] + [("x", i) for i in v]
+            d2[tri] = d2[tri] + kterm(n, symbols, draw(sts.hpolys(1, 2)) * HPoly.h())
+    flaw = draw(st.sampled_from([None] * 8 + ["missing", "mixed"]))
+    if flaw and d2:
+        tri = draw(st.sampled_from(sorted(d2)))
+        if flaw == "missing":
+            del d2[tri]
+        else:
+            d2[tri] = d2[tri] + kterm(n, [("x", 1)])
+    return d2
+
+
+@st.composite
+def _certify_cases(draw):
+    """A d2 choice and a presentation; Lie and quadratic tails mostly on their own path."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    choice = draw(st.sampled_from(D2_CHOICES))
+    kind = draw(st.sampled_from([choice, "lie", "quadratic", "tails"]))
+    if kind == "lie":
+        pres = from_lie(draw(sts.lie_datas(n)))
+    elif kind == "quadratic":
+        pres = from_quadratic(draw(sts.quad_datas(n)))
+    else:
+        pres = draw(_tails(n))
+    return pres, choice, draw(_custom_d2(n)) if choice == "custom" else None
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the exception is the answer to compare
+        return type(exc), str(exc)
+
+
+_NON_JACOBI4 = LieData(4, {(1, 2, 3): Fraction(1), (1, 3, 4): Fraction(-1, 2),
+                           (2, 4, 1): Fraction(2), (3, 4, 3): Fraction(1)})
+_FAILING_QUAD = QuadData(3, {(1, 2, 1, 1): Fraction(1), (2, 3, 2, 2): Fraction(-2, 3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certify_cases())
+@example(case=(from_lie(_NON_JACOBI4), "lie", None))
+@example(case=(from_quadratic(_FAILING_QUAD), "quadratic", None))
+@example(case=(from_quadratic(_FAILING_QUAD), "custom",
+               {tri: v.scale(HPoly([1, Fraction(-1, 2), 3]))
+                for tri, v in d2_default(3).items()}))
+@example(case=(from_lie(_NON_JACOBI4), "custom", {(1, 2, 3): d2_default(4)[(1, 2, 3)]}))
+def test_residues_match_reference(case):
+    """The Z[h] residues of certify equal the Leibniz expansion of the Koszul
+    formulas over Q[h], with the same exception type and text where one is
+    raised; on the Lie and quadratic paths they are the jacobiator and the
+    bruteforce quadratic residue."""
+    pres, choice, custom = case
+    got = _outcome(lambda: certify(pres, choice, custom).residues)
+    assert got == _outcome(lambda: certify_residues_reference(pres, choice, custom))
+    if isinstance(got, tuple):
+        return
+    assert all(isinstance(c, HPoly) for r in got.values() for c in r.terms.values())
+    for tri, residue in got.items():
+        if choice == "lie":
+            assert residue == jacobiator(lie_data_of(pres), *tri)
+        elif choice == "quadratic":
+            assert residue == quadratic_residue_bruteforce(quad_data_of(pres), *tri)
+
+
+def test_certify_calls_neither_apply_d_nor_relation(monkeypatch, sl2, non_jacobi,
+                                                    multiparameter_quantum,
+                                                    strange_presentation):
+    """certify and obstruction read d1 from the tails and sum on Z[h] rows:
+    no Presentation.relation and no koszul.apply_d, wherever either is bound."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    original = koszul.apply_d
+    wrapper = counting("apply_d", original)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("pbwlab") and m]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(Presentation, "relation", counting("relation", Presentation.relation))
+    quad = QuadData(3, {(1, 2, 1, 1): Fraction(1), (2, 3, 2, 2): Fraction(1)})
+    cases = [(from_lie(sl2), "lie", None), (from_lie(non_jacobi), "lie", None),
+             (from_quadratic(multiparameter_quantum), "quadratic", None),
+             (from_quadratic(quad), "quadratic", None),
+             (strange_presentation, "default", None), (Presentation(4), "default", None),
+             (from_lie(non_jacobi), "custom", d2_lie(non_jacobi))]
+    for pres, choice, custom in cases:
+        certify(pres, choice, custom)
+        try:
+            obstruction(pres, choice, custom)
+        except NoObstruction:
+            pass
+    assert calls == Counter()
+    diff = build_differential(from_lie(sl2), "lie")
+    koszul.apply_d(diff, diff.d2[(1, 2, 3)])
+    assert calls == Counter(relation=3, apply_d=1)

@@ -373,3 +373,22 @@ def test_hrat_generic_reports_replay_byte_identically(capsys, monkeypatch, tmp_p
     code, out, _ = run_cli(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out == entry["stdout"]
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, monkeypatch, sl2_file):
+    """In one process, a valid command, two usage errors (in a subcommand and at
+    the top), --version and the valid command again give the same exit codes,
+    stdout and stderr from the parser built once as from one built afresh."""
+    from pbwlab import cli
+
+    valid = ["certify", "--input", sl2_file, "--d2", "lie", "--format", "json"]
+    argvs = [valid, ["hilbert", "--input", sl2_file, "--degree", "three", "--at", "1"],
+             ["nosuch"], ["--version"], valid]
+    cli._build_parser.cache_clear()
+    cached = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli._build_parser.cache_info()[:2] == (4, 1)   # hits, misses
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [run_cli(capsys, *argv) for argv in argvs] == cached
+    assert [code for code, _, _ in cached] == [0, 3, 3, 0, 0]
+    assert cached[0] == cached[4] and "invalid int value" in cached[1][2]
+    assert "usage: pbwlab " in cached[2][2] and cached[3][1] == "pbwlab 0.1.0\n"

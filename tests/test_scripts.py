@@ -1,5 +1,8 @@
-"""Smoke runs of the README's experiment scripts, end to end in a fresh interpreter."""
+"""Smoke runs of the README's experiment scripts, end to end in a fresh interpreter,
+and a check that the benchmark tracer's tables name functions that exist."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +54,19 @@ def test_cli_battery():
     assert len({f[0] for f in fields}) == len(fields)  # every argv once
     # no run ends in an internal error; every outcome code occurs
     assert {f[1] for f in fields} == {"0", "1", "2", "3"}
+
+
+def test_tracer_tables_resolve():
+    """`Tracer.install` looks up every name of benchmarks/tracer.py's FUNCTIONS and
+    METHODS tables in pbwlab; a removed one would crash `run.py --trace 1`."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.FUNCTIONS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"pbwlab.{module}"), name, None))]
+    for module, classes in tracer.METHODS.items():
+        for cls_name, methods in classes.items():
+            cls = getattr(importlib.import_module(f"pbwlab.{module}"), cls_name)
+            missing += [f"{module}.{cls_name}.{m}" for m in methods if m not in vars(cls)]
+    assert tracer.FUNCTIONS["koszul"] and missing == []
