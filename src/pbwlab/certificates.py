@@ -1,16 +1,20 @@
 """Certificates and obstructions for the PBW property of a deformed presentation.
 
-The central check composes the perturbed differentials: for every triple
-i < j < k the element d1(d2(xi_ijk)) is computed exactly over Q[h] (summed
-on Z[h] rows by `koszul.residues`), and the certificate passes iff all of
-these vanish.  A pass establishes the
-descending-filtration PBW-like property, hence PBW at all but countably many
-parameter values; with linear relation tails, at every value.  On failure the
+The central check composes the perturbed differentials: for every triple i < j < k the
+element d1(d2(xi_ijk)) is computed exactly over Q[h] (summed on Z[h] rows by
+`koszul.residues`), and the certificate passes iff all of these vanish.  A pass
+establishes the descending-filtration PBW-like property, hence PBW at all but countably
+many parameter values; with linear relation tails, at every value.  On failure the
 lowest hbar-order coefficients of the residues generate the obstruction.
+
+`check_quadratic_condition` is a contraction over the nonzero tensor entries whose
+witness is the lexicographically first failing tuple; `check_poisson` stays a dense n^6
+scan until ROADMAP item 7's benchmark change.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -43,12 +47,10 @@ class CertificateReport:
 
 def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple, KoszulPoly]],
                 lie: Optional[LieData]) -> dict:
-    """Entries of the chosen d2, lie being lie_data_of(p).  Checks only that the tails
-    are divisible by hbar (NotDeformation with `validate`'s text), not which certificate
-    paths apply."""
-    valid, _, problems = check_tails(p)
-    if not valid:
-        raise NotDeformation("; ".join(problems))
+    """Entries of the chosen d2, lie being lie_data_of(p).  Tails not divisible by hbar raise
+    NotDeformation with `validate`'s text; which certificate paths apply is not checked."""
+    if not all(c.divisible_by_h() for tail in p.phi.values() for c in tail.terms.values()):
+        raise NotDeformation("; ".join(check_tails(p)[2]))
     if d2_choice == "default":
         return default_entries(p.n)
     if d2_choice == "lie":
@@ -131,24 +133,26 @@ class ConditionReport:
     value: Optional[Fraction] = None
 
 
-def _cyclic_slots(i, j, k):
-    return ((i, j, k), (j, k, i), (k, i, j))
-
-
 def check_quadratic_condition(data: QuadData) -> ConditionReport:
     """Cyclic sum over s of alpha_jk^{sb} alpha_is^{cd} + alpha_jk^{cs} alpha_is^{db},
-    required to vanish for every tuple (i, j, k, b, c, d)."""
+    required to vanish for every tuple (i, j, k, b, c, d).  A contraction through s
+    over the nonzero entries; the witness is the lexicographically first failing tuple."""
     n = data.n
-    rng = range(1, n + 1)
-    for i, j, k, b, c, d in product(rng, repeat=6):
-        total = Fraction(0)
-        for ii, jj, kk in _cyclic_slots(i, j, k):
-            for s in rng:
-                total += (data.alpha_at(jj, kk, s, b) * data.alpha_at(ii, s, c, d)
-                          + data.alpha_at(jj, kk, c, s) * data.alpha_at(ii, s, d, b))
-        if total:
-            return ConditionReport(False, (i, j, k, b, c, d), total)
-    return ConditionReport(True)
+    ending = defaultdict(list)  # q -> [(p, a, b, A)]: the nonzero A_pq^{ab}, antisymmetrized
+    for (i, j, a, b), v in data.alpha.items():
+        if v and 1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n:
+            ending[j].append((i, a, b, v))
+            ending[i].append((j, a, b, -v))
+    total = defaultdict(Fraction)
+    for k, row in ending.items():
+        for j, x, y, v in row:  # v = A_jk^{xy}, paired with the rows A_is
+            products = [(i, y, c, d, v * w) for i, c, d, w in ending.get(x, ())]  # s = x, b = y
+            products += [(i, b, x, d, v * w) for i, d, b, w in ending.get(y, ())]  # c = x, s = y
+            for i, b, c, d, u in products:  # added at the three cyclic slots of (i, j, k)
+                for key in ((i, j, k, b, c, d), (k, i, j, b, c, d), (j, k, i, b, c, d)):
+                    total[key] += u
+    witness = min((key for key, v in total.items() if v), default=None)
+    return ConditionReport(witness is None, witness, witness and total[witness])
 
 
 def check_poisson(data: QuadData) -> ConditionReport:

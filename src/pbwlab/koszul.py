@@ -41,10 +41,6 @@ Triple = Tuple[int, int, int]
 _DEGREES = {"x": 0, "xi2": -1, "xi3": -2}
 
 
-def x(i: int) -> Symbol:
-    return ("x", i)
-
-
 def symbol_degree(sym: Symbol) -> int:
     return _DEGREES[sym[0]]
 

@@ -7,8 +7,10 @@ from plain dict products.  `reduce_ring_reference` reads a rewrite system's
 rule rows but calls none of its methods, and `ring_row_reference` calls only
 the given ring's `clear`.  `certify_residues_reference` builds d2 from the
 Koszul formulas one `kterm` at a time and applies d1 through
-`apply_d_reference`.  Disagreement with the library is a build failure, not
-a tolerance question.
+`apply_d_reference`.  `quadratic_condition_reference` scans all n^6 tuples
+of the cyclic coefficient condition through `QuadData.alpha_at`; it shares
+only the `ConditionReport` record with `certificates`.  Disagreement with the
+library is a build failure, not a tolerance question.
 """
 
 import heapq
@@ -129,6 +131,29 @@ def quadratic_residue_bruteforce(data: QuadData, i: int, j: int, k: int) -> NCPo
             if v2:
                 out = out + NCPoly(n, {(a, c, d): -(h2 * v2)})
     return out
+
+
+def _cyclic_slots(i, j, k):
+    return ((i, j, k), (j, k, i), (k, i, j))
+
+
+def quadratic_condition_reference(data: QuadData):
+    """The cyclic coefficient condition by a dense scan of all n^6 tuples, in
+    `itertools.product` order: (passed, witness, value) with the first failing
+    tuple as witness, as a `certificates.ConditionReport`."""
+    from pbwlab.certificates import ConditionReport
+
+    n = data.n
+    rng = range(1, n + 1)
+    for i, j, k, b, c, d in product(rng, repeat=6):
+        total = Fraction(0)
+        for ii, jj, kk in _cyclic_slots(i, j, k):
+            for s in rng:
+                total += (data.alpha_at(jj, kk, s, b) * data.alpha_at(ii, s, c, d)
+                          + data.alpha_at(jj, kk, c, s) * data.alpha_at(ii, s, d, b))
+        if total:
+            return ConditionReport(False, (i, j, k, b, c, d), total)
+    return ConditionReport(True)
 
 
 def _cell_key(cell):

@@ -1,19 +1,23 @@
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import certify_residues_reference, quadratic_residue_bruteforce
-from pbwlab import koszul
+from oracles import (certify_residues_reference, quadratic_condition_reference,
+                     quadratic_residue_bruteforce)
+from pbwlab import certificates, koszul
 from pbwlab.certificates import (D2_CHOICES, build_differential, certify, check_poisson,
                                  check_quadratic_condition, jacobiator, obstruction)
 from pbwlab.errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from pbwlab.freealg import NCPoly, hbar_coefficient
+from pbwlab.jsonio import quad_data_from_json
 from pbwlab.koszul import d2_default, d2_lie, kterm, triples
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic, lie_data_of, quad_data_of, validate)
@@ -71,6 +75,24 @@ class TestCertify:
                 with pytest.raises(NotDeformation) as exc:
                     fn(p, d2_choice)
                 assert str(exc.value) == text
+
+    def test_pass_path_builds_no_tail_report(self, monkeypatch, sl2, quantum_plane, non_jacobi):
+        """check_tails, with its per-pair report, runs only to word a NotDeformation."""
+        calls = Counter()
+        original = certificates.check_tails
+
+        def counting(p):
+            calls["check_tails"] += 1
+            return original(p)
+
+        monkeypatch.setattr(certificates, "check_tails", counting)
+        certify(from_lie(sl2), "lie")
+        certify(from_quadratic(quantum_plane), "quadratic")
+        obstruction(from_lie(non_jacobi), "lie")
+        assert calls == Counter()
+        with pytest.raises(NotDeformation):
+            certify(Presentation(3, {(1, 2): NCPoly(3, {(3,): HPoly.one()})}), "default")
+        assert calls == Counter(check_tails=1)
 
     def test_custom_d2_equivalent_to_lie(self, sl2):
         from pbwlab.koszul import d2_lie
@@ -137,6 +159,102 @@ class TestQuadraticCondition:
         assert report.witness is not None and report.value
 
 
+def _assert_matches_dense_scan(data):
+    got, want = check_quadratic_condition(data), quadratic_condition_reference(data)
+    assert (got.passed, got.witness, got.value, type(got.value)) \
+        == (want.passed, want.witness, want.value, type(want.value))
+
+
+def _passing_shapes(n):
+    """Every upper index is n and n is never a lower index, so each product vanishes."""
+    pairs = st.sampled_from(list(combinations(range(1, n), 2)))
+    return st.dictionaries(pairs, sts.rationals(2, 2).filter(bool), min_size=1) \
+        .map(lambda d: QuadData(n, {(i, j, n, n): v for (i, j), v in d.items()}))
+
+
+# A passing n = 4 tensor costs the dense scan 196,608 alpha_at reads, so n = 4 draws few examples.
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sts.quad_datas(3), _passing_shapes(3)))
+@example(QuadData(3, {(1, 2, 3, 3): Fraction(-2)}))
+def test_condition_matches_dense_scan_n3(data):
+    _assert_matches_dense_scan(data)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.one_of(sts.quad_datas(4), _passing_shapes(4)))
+@example(QuadData(4, {(1, 2, 4, 4): Fraction(1), (2, 3, 4, 4): Fraction(-1, 2)}))
+def test_condition_matches_dense_scan_n4(data):
+    _assert_matches_dense_scan(data)
+
+
+_TWELVE_FAILING = QuadData(3, {(1, 2, 1, 1): Fraction(1), (2, 3, 2, 2): Fraction(1)})
+_CONDITION_EDGES = {
+    "empty": QuadData(3, {}),
+    "zero values": QuadData(3, {(1, 2, 1, 1): Fraction(0), (2, 3, 2, 2): Fraction(0)}),
+    # alpha_at reads only keys with i < j and every index in 1..n
+    "i > j and i == j": QuadData(3, {(2, 1, 1, 1): Fraction(1), (3, 2, 2, 2): Fraction(1),
+                                     (2, 2, 1, 1): Fraction(1)}),
+    # with (1, 2, 1, 2) beside it, each of these keys fails the condition if read
+    "a outside 1..n": QuadData(3, {(2, 3, 4, 1): Fraction(1), (1, 2, 1, 2): Fraction(1)}),
+    "b outside 1..n": QuadData(3, {(2, 3, 1, 0): Fraction(1), (1, 2, 1, 2): Fraction(1)}),
+    "i outside 1..n": QuadData(3, {(0, 2, 1, 1): Fraction(1), (1, 2, 1, 2): Fraction(1)}),
+    "j outside 1..n": QuadData(3, {(1, 4, 1, 1): Fraction(1), (1, 2, 1, 2): Fraction(1)}),
+    "ignored keys beside a failure": QuadData(3, {**_TWELVE_FAILING.alpha,
+                                                  (2, 1, 1, 1): Fraction(-1),
+                                                  (1, 2, 1, 4): Fraction(1)}),
+    "int values": QuadData(3, {(1, 2, 1, 1): 1, (2, 3, 2, 2): -2}),
+    "cubic-potential shape": QuadData(3, {(1, 2, 2, 1): Fraction(-1), (2, 3, 3, 2): Fraction(-1),
+                                          (1, 3, 1, 3): Fraction(1)}),
+    "twelve failing tuples": _TWELVE_FAILING,
+    "n = 4, twenty-four failing tuples": QuadData(4, {(3, 4, 1, 2): Fraction(1),
+                                                      (1, 3, 4, 4): Fraction(1),
+                                                      (2, 4, 3, 1): Fraction(-1, 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONDITION_EDGES))
+def test_condition_matches_dense_scan_on_edges(name):
+    _assert_matches_dense_scan(_CONDITION_EDGES[name])
+
+
+@pytest.mark.parametrize("fixture", ["quantum_plane", "poisson_not_special"])
+def test_condition_matches_dense_scan_on_fixtures(request, fixture):
+    _assert_matches_dense_scan(request.getfixturevalue(fixture))
+
+
+def test_condition_matches_dense_scan_on_quantum3():
+    doc = json.loads((Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+                      / "quantum3.json").read_text())
+    _assert_matches_dense_scan(quad_data_from_json(doc["quadratic"]))
+
+
+def test_condition_witness_is_lexicographically_first():
+    """Failing tuples come in threes, one per rotation of (i, j, k); the witness is
+    the smallest of all, not the first the contraction happens to reach."""
+    report = check_quadratic_condition(_TWELVE_FAILING)
+    assert (report.witness, report.value) == ((1, 2, 3, 1, 2, 1), Fraction(1))
+    report = check_quadratic_condition(_CONDITION_EDGES["n = 4, twenty-four failing tuples"])
+    assert report.witness == (1, 2, 3, 1, 4, 3)
+
+
+def test_condition_reads_no_alpha_at(monkeypatch, poisson_not_special):
+    """The contraction reads the stored entries, never the signed accessor."""
+    calls = Counter()
+    original = QuadData.alpha_at
+
+    def counting(self, *args):
+        calls["alpha_at"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(QuadData, "alpha_at", counting)
+    quadratic_condition_reference(QuadData(2, {(1, 2, 1, 2): Fraction(1)}))
+    assert calls["alpha_at"] > 0
+    calls.clear()
+    for data in [*_CONDITION_EDGES.values(), poisson_not_special]:
+        check_quadratic_condition(data)
+    assert calls == Counter()
+
+
 class TestPoisson:
     def test_zero_passes(self):
         assert check_poisson(QuadData(3, {})).passed
@@ -189,7 +307,7 @@ def test_lie_certificate_iff_jacobi(data):
         assert ob.hbar_order >= 2
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(sts.quad_datas(3))
 def test_quadratic_certificate_iff_condition(data):
     report = certify(from_quadratic(data), "quadratic")
