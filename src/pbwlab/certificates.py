@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Tuple
 from .errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from .freealg import NCPoly, hbar_coefficient
 from .koszul import (Differential, KoszulPoly, Triple, custom_entries,
-                     d1_from_presentation, d2_view, default_entries, lie_entries,
+                     d1_from_presentation, d2_default, d2_view, default_entries, lie_entries,
                      quadratic_entries, residues, triples)
 from .presentations import (LieData, Presentation, QuadData, check_tails, lie_data_of,
                             quad_data_of)
-from .scalars import HPoly
+from .scalars import HPoly, HRat
 
 D2_CHOICES = ("default", "lie", "quadratic", "custom")
 
@@ -74,6 +74,9 @@ def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple
             for word in value.terms:
                 if sum(1 for sym in word if sym[0] == "xi2") != 1 or any(sym[0] == "xi3" for sym in word):
                     raise PathMismatch(f"custom value for {tri} must carry exactly one xi symbol per word")
+        for tri, default in d2_default(p.n).items():  # h = 0 must give the Koszul d2
+            if any(not HRat(c).num.divisible_by_h() for c in (custom_d2[tri] - default).terms.values()):
+                raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
         return custom_entries({tri: custom_d2[tri] for tri in triples(p.n)})
     raise PathMismatch(f"unknown d2 choice {d2_choice!r}")
 

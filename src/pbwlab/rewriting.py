@@ -17,14 +17,16 @@ rule is only a primitive row lead -> (E, [(word, r)]), tail sum(r * word) / E,
 E positive (a positive lead in Z[h]); overlap differences come from the rows,
 normal forms run over one common denominator, and new rules are the primitive
 rows of normal forms, at h = a after a fraction-free echelon step over the
-whole batch.  Intermediate rules still carry coefficients of hundreds of
-bits, where field arithmetic would pay a gcd for every product and sum.
+whole batch that divides out a row's content once, when the row is finished.
+Intermediate rules still carry coefficients of hundreds of bits, where field
+arithmetic would pay a gcd for every product and sum.
 `rules` derives the Fraction or HRat tails from the rows.  A polynomial enters
 the ring in one conversion, `Ring.row`, from its own coefficients: at h = a in
-integers, no Fraction built.  `member` and torsion's separation probes
-answer from the ring normal form, without field values.  Normal forms look a
-word's rewrite up in a cache per rule set, which `_set_rule` and `_drop_rule`,
-the only writers of the rows, clear.
+integers, no Fraction built.  The normal-form kernel keys its terms and its
+rewrite cache (cleared by `_set_rule` and `_drop_rule`) by deglex rank; word
+tuples are built only where words enter or leave it and on a cache miss, and
+a map per system decodes ranks.  `member` and torsion's separation probes
+answer from the ranked normal form, without words or field values.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -49,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import (NCPoly, Word, _clear_zpolys, _scaled_coeffs, _zpoly_row, add_terms,
-                      check_ambient, deglex_key, specialize)
+                      check_ambient, specialize)
 from .presentations import Presentation
 from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, clear_denominators,
                       rational_roots)
@@ -129,7 +131,8 @@ class RewriteSystem:
         self.ring = INTEGERS if mode == "at" else ZPOLYS
         self._rows: Dict[Word, tuple] = {}
         self._by_len: Dict[int, set] = {}
-        self._rewrites: Dict[Word, Optional[tuple]] = {}
+        self._rewrites: Dict[int, Optional[tuple]] = {}
+        self._words: Dict[int, Word] = {}
         self.degree_bound: Optional[int] = None
         self.complete_through: Optional[int] = None
         self.excluded: List[HPoly] = []
@@ -179,35 +182,47 @@ class RewriteSystem:
                     return pos, cand
         return None
 
-    def reduce_ring(self, den, terms: TermDict) -> tuple:
-        """Normal form (den', terms') of terms / den, terms a word -> ring value
-        dict, updated in place.
+    def _ranked(self, pairs) -> list:
+        """[(deglex rank, value)] of the (word, value) pairs, each word noted for decoding."""
+        n, words, out = self.n, self._words, []
+        for word, value in pairs:
+            rank = 0
+            for letter in word:  # _deglex_rank, inlined
+                rank = rank * n + letter
+            words[rank] = word
+            out.append((rank, value))
+        return out
 
-        Words come from a deglex max-heap: a step only creates smaller words, so
-        a popped word without a rule match is final, and the leftmost, shortest
-        match of the largest reducible word is rewritten first.  Rewriting c * w
-        by lead -> row / E, g = gcd(c, E), multiplies the other terms and den by
-        E / g and adds (c / g) * row, so nothing is divided; E = 1 costs no gcd.
-        The leads are scanned once per word and rule set: `_rewrites` maps the
-        word to None (no lead) or to (E, [(left + tail word + right, r)]) of
-        that match, so the steps and their integers are those of a fresh scan.
+    def _reduce_ranked(self, den, terms: TermDict) -> tuple:
+        """(den', {deglex rank: ring value}), the normal form of the word -> ring
+        value dict terms / den: the kernel behind `reduce_ring`.  Ranks come from
+        a max-heap: a step only creates smaller words, so a popped rank without a
+        rule match is final, and the leftmost, shortest match of the largest
+        reducible word is rewritten first.  Rewriting c * w by lead -> row / E,
+        g = gcd(c, E), multiplies the other terms and den by E / g and adds
+        (c / g) * row, so nothing is divided; E = 1 costs no gcd.  The leads are
+        scanned once per word and rule set: `_rewrites` maps the rank to None (no
+        lead) or to (E, [(rank of left + tail word + right, r)]) of that match,
+        so the steps and their integers are those of a fresh scan.
         """
-        one, gcd_, n, rewrites = self.ring.unit, self.ring.gcd, self.n, self._rewrites
-        heap = [(-_deglex_rank(w, n), w) for w in terms]
+        one, gcd_, rewrites, words = self.ring.unit, self.ring.gcd, self._rewrites, self._words
+        terms = dict(self._ranked(terms.items()))
+        heap = [-rank for rank in terms]
         heapq.heapify(heap)
         lengths = sorted(self._by_len)
         while heap:
-            best = heapq.heappop(heap)[1]
+            best = -heapq.heappop(heap)
             if best not in terms:
                 continue
             entry = rewrites.get(best, False)
             if entry is False:
-                entry = self._first_match(best, lengths)
+                word = words[best]
+                entry = self._first_match(word, lengths)
                 if entry is not None:
                     pos, lead = entry
-                    left, right = best[:pos], best[pos + len(lead):]
+                    left, right = word[:pos], word[pos + len(lead):]
                     scale, tail = self._rows[lead]
-                    entry = scale, [(left + tw + right, tc) for tw, tc in tail]
+                    entry = scale, self._ranked((left + tw + right, tc) for tw, tc in tail)
                 rewrites[best] = entry
             if entry is None:
                 continue
@@ -218,24 +233,31 @@ class RewriteSystem:
                 if g != scale:
                     mult = scale // g
                     den *= mult
-                    for w in terms:
-                        terms[w] *= mult
+                    for rank in terms:
+                        terms[rank] *= mult
                 if g != one:
                     coeff //= g
-            for word, tc in spliced:
+            for rank, tc in spliced:
                 add = coeff * tc
-                acc = terms.get(word)
+                acc = terms.get(rank)
                 if acc is None:
                     if add:
-                        terms[word] = add
-                        heapq.heappush(heap, (-_deglex_rank(word, n), word))
+                        terms[rank] = add
+                        heapq.heappush(heap, -rank)
                 else:
                     acc = acc + add
                     if acc:
-                        terms[word] = acc
+                        terms[rank] = acc
                     else:
-                        del terms[word]
+                        del terms[rank]
         return den, terms
+
+    def reduce_ring(self, den, terms: TermDict) -> tuple:
+        """Normal form (den', terms') of terms / den, terms a word -> ring value dict,
+        left unchanged: `_reduce_ranked`, whose terms and rewrite cache are keyed by
+        deglex rank, with the ranks decoded; words exist only at its boundary and on misses."""
+        den, out = self._reduce_ranked(den, terms)
+        return den, {self._words[rank]: c for rank, c in out.items()}
 
     def reduce_dict(self, terms: TermDict) -> TermDict:
         """Normal form of a word -> field coefficient dict with respect to the
@@ -262,35 +284,34 @@ class RewriteSystem:
     def _add_poly(self, den, terms: TermDict, queue) -> None:
         """Install the normal form of terms / den as a rule; rules whose leads
         contain the new lead are retired and their polynomials reduced again."""
-        ring = self.ring
+        ring, words = self.ring, self._words
         stack = [(den, terms)]
         while stack:
-            den, current = self.reduce_ring(*stack.pop())
+            den, current = self._reduce_ranked(*stack.pop())
             if not current:
                 continue
-            lead = max(current, key=deglex_key)
-            lc = current.pop(lead)
+            top = max(current)
+            lead, lc = words[top], current.pop(top)
             self._note_inversion(ring.inverted(lc, den))
             scale, row = ring.primitive_row(lc, [-c for c in current.values()])
             stack += self._retire(lead)
-            self._set_rule(lead, scale, list(zip(current, row)))
+            self._set_rule(lead, scale, list(zip(map(words.get, current), row)))
             if queue is not None:
                 queue.push_overlaps(lead, self._rows)
 
     def _add_batch(self, polys: list, queue) -> list:
         """Install the polynomials (den, terms) together, in Z: one rule per pivot
         of the fraction-free reduced echelon form of their normal forms, over
-        `_deglex_rank` columns.  Returns the polynomials of the retired rules and
+        their deglex-rank keys.  Returns the polynomials of the retired rules and
         of the pivots whose leads contain another pivot's lead."""
-        n, words, pivots = self.n, {}, {}
+        words, pivots = self._words, {}
         for den, terms in polys:
-            nf = self.reduce_ring(den, terms)[1]
-            cols = {_deglex_rank(w, n): w for w in nf}
-            words.update(cols)
-            _echelon_insert(pivots, {col: nf[w] for col, w in cols.items()})
+            _echelon_insert(pivots, self._reduce_ranked(den, terms)[1])
         for top in sorted(pivots):  # reduced echelon form: lower pivots are reduced already
-            for col in [c for c in pivots[top] if c != top and c in pivots]:
-                pivots[top] = _eliminate(pivots[top], pivots[col], col)
+            row = pivots[top]
+            for col in [c for c in row if c != top and c in pivots]:
+                row = _eliminate(row, pivots[col], col)
+            pivots[top] = _primitive(row, top)
         leads, carry = [words[top] for top in pivots], []
         for top, row in sorted(pivots.items()):
             lead = words[top]
@@ -357,9 +378,9 @@ class RewriteSystem:
                 self._add_poly(*self._overlap(*queue.pop()), queue)
         for lead in list(self._rows):
             scale, row = self._drop_rule(lead)
-            den, tail = self.reduce_ring(scale, dict(row))
+            den, tail = self._reduce_ranked(scale, dict(row))
             scale, nums = ring.primitive_row(den, list(tail.values()))
-            self._set_rule(lead, scale, list(zip(tail, nums)))
+            self._set_rule(lead, scale, list(zip(map(self._words.get, tail), nums)))
         self.degree_bound = degree
         self.complete_through = degree - 1
         return self
@@ -370,27 +391,17 @@ class RewriteSystem:
         out: List[List[Word]] = [[] for _ in range(max_degree + 1)]
         if () in self._rows:
             return out
-        lengths = sorted(self._by_len)
-
-        def blocked(word: Word) -> bool:
-            for length in lengths:
-                if length > len(word):
-                    break
-                if word[-length:] in self._by_len[length]:
-                    return True
-            return False
-
-        frontier: List[Word] = [()]
         out[0].append(())
         for deg in range(1, max_degree + 1):
-            nxt: List[Word] = []
-            for w in frontier:
+            suffixes = [(k, leads) for k, leads in sorted(self._by_len.items()) if k <= deg]
+            for w in out[deg - 1]:  # a lead in w + x can only be a suffix
                 for letter in range(1, self.n + 1):
                     cand = w + (letter,)
-                    if not blocked(cand):
-                        nxt.append(cand)
-            out[deg] = nxt
-            frontier = nxt
+                    for k, leads in suffixes:
+                        if cand[-k:] in leads:
+                            break
+                    else:
+                        out[deg].append(cand)
         return out
 
     def normal_word_counts(self, max_degree: int) -> List[int]:
@@ -517,17 +528,8 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
             break
         dims = nxt
     expected = [comb(p.n + k - 1, k) for k in range(K + 1)]
-    verdicts, defects = [], []
-    for k in range(K + 1):
-        if not stable:
-            verdicts.append("unknown")
-            defects.append(0)
-        elif dims[k] == expected[k]:
-            verdicts.append("match")
-            defects.append(0)
-        else:
-            verdicts.append("defect")
-            defects.append(dims[k] - expected[k])
+    defects = [d - e if stable else 0 for d, e in zip(dims, expected)]
+    verdicts = [("defect" if d else "match") if stable else "unknown" for d in defects]
     return HilbertReport(p.n, K, mode, a, dims, expected, verdicts, defects,
                          system.complete_through, [str(q) for q in system.excluded])
 
@@ -541,7 +543,7 @@ def member(system: RewriteSystem, p: NCPoly) -> bool:
         return True
     if p.deg_x() > system.complete_through:
         raise OutOfRange(f"degree {p.deg_x()} exceeds certified degree {system.complete_through}")
-    return not system.reduce_ring(*system.ring.row(p, system.a))[1]
+    return not system._reduce_ranked(*system.ring.row(p, system.a))[1]
 
 
 # -- membership over Q[h] ----------------------------------------------------
@@ -610,41 +612,44 @@ def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
 
 
 def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int, int]:
-    """row * (lc / g) - pivot * (f / g) over its content, f and lc the entries
-    at col and g = gcd(f, lc): integers, kept small.  row may change in place."""
+    """row * (lc / g) - pivot * (f / g), f and lc the entries at col and
+    g = gcd(f, lc): integers; the content stays in.  row may change in place."""
     f, lc = row[col], pivot[col]
     g = gcd(f, lc)
     a, b = lc // g, f // g
     if a != 1:
         row = {c: value * a for c, value in row.items()}
-    add_terms(row, ((c, -b * value) for c, value in pivot.items()))
-    content = gcd(*row.values())
-    if content > 1:
-        row = {c: value // content for c, value in row.items()}
+    get = row.get
+    for c, value in pivot.items():  # add_terms, inlined
+        acc = get(c, 0) - b * value
+        if acc:
+            row[c] = acc
+        else:
+            del row[c]
     return row
+
+
+def _primitive(row: Dict[int, int], top: int) -> Dict[int, int]:
+    """row over its content, signed so that the entry at top is positive."""
+    content = gcd(*row.values()) if row[top] > 0 else -gcd(*row.values())
+    return row if content == 1 else {c: value // content for c, value in row.items()}
 
 
 def _echelon_reduce(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, int]:
     """Cancel the leading column of row against the pivots until none
     matches.  row may be updated in place."""
-    while row:
-        top = max(row)
-        pivot = pivots.get(top)
-        if pivot is None:
-            return row
-        row = _eliminate(row, pivot, top)
+    while row and (top := max(row)) in pivots:
+        row = _eliminate(row, pivots[top], top)
     return row
 
 
 def _echelon_insert(pivots: Dict[int, Dict[int, int]], row: Dict[int, int]) -> None:
-    """Add row's remainder as a pivot, with a positive leading entry so that a
-    leading 1 reduces later rows without rescaling them."""
+    """Add row's remainder as a pivot, primitive and with a positive leading
+    entry, so that a leading 1 reduces later rows without rescaling them."""
     rem = _echelon_reduce(pivots, row)
     if rem:
         top = max(rem)
-        if rem[top] < 0:
-            rem = {col: -value for col, value in rem.items()}
-        pivots[top] = rem
+        pivots[top] = _primitive(rem, top)
 
 
 # -- torsion -----------------------------------------------------------------
@@ -682,12 +687,13 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
     element = element.with_hpoly_coeffs()
     h_bound = (max(c.degree for c in element.terms.values()) + factor.degree + degree + 2)
 
+    def outcome(status: str, detail: str, refuting=None) -> TorsionOutcome:
+        return TorsionOutcome(status, detail, element, factor, degree, h_bound, refuting)
+
     generic = build_rules(p, "generic").complete(degree)
-    if generic.reduce_ring(*generic.ring.row(element, None))[1]:
-        return TorsionOutcome(
-            "refuted",
-            "factor*T is not in the ideal even with rational-function coefficients",
-            element, factor, degree, h_bound)
+    if generic._reduce_ranked(*generic.ring.row(element, None))[1]:
+        return outcome("refuted", "factor*T is not in the ideal even with rational-function "
+                                  "coefficients")
 
     candidates = list(dict.fromkeys([
         *rational_roots(factor),
@@ -701,35 +707,24 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
             special = build_rules(p, "at", a).complete(degree)
         except BadSpecialization:
             continue
-        if special.reduce_ring(*special.ring.row(element, a))[1]:
+        if special._reduce_ranked(*special.ring.row(element, a))[1]:
             refuting = a
             break
 
     if refuting is None:
         if module_membership(p, element, degree, h_bound):
-            return TorsionOutcome(
-                "refuted", "T itself lies in the ideal over Q[h]",
-                element, factor, degree, h_bound)
-        return TorsionOutcome(
-            "unknown",
-            "T could not be separated from the ideal at any tried specialization",
-            element, factor, degree, h_bound)
+            return outcome("refuted", "T itself lies in the ideal over Q[h]")
+        return outcome("unknown",
+                       "T could not be separated from the ideal at any tried specialization")
 
     if factor.is_constant():
-        return TorsionOutcome(
-            "refuted",
-            "factor is a nonzero constant, so factor*T lies in the ideal iff T does, "
-            f"and T has a nonzero normal form at h={refuting}",
-            element, factor, degree, h_bound, refuting)
+        return outcome("refuted", "factor is a nonzero constant, so factor*T lies in the ideal "
+                                  f"iff T does, and T has a nonzero normal form at h={refuting}",
+                       refuting)
 
     scaled = element.scale(factor)
     if module_membership(p, scaled, degree, h_bound):
-        return TorsionOutcome(
-            "witness",
-            f"factor*T is an explicit Q[h]-combination of the relations, while T has a "
-            f"nonzero normal form at h={refuting}",
-            element, factor, degree, h_bound, refuting)
-    return TorsionOutcome(
-        "unknown",
-        "membership of factor*T over Q[h] was not established within the degree bounds",
-        element, factor, degree, h_bound, refuting)
+        return outcome("witness", "factor*T is an explicit Q[h]-combination of the relations, "
+                                  f"while T has a nonzero normal form at h={refuting}", refuting)
+    return outcome("unknown", "membership of factor*T over Q[h] was not established within "
+                              "the degree bounds", refuting)

@@ -18,7 +18,7 @@ from pbwlab.certificates import (D2_CHOICES, build_differential, certify, check_
 from pbwlab.errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from pbwlab.freealg import NCPoly, hbar_coefficient
 from pbwlab.jsonio import quad_data_from_json
-from pbwlab.koszul import d2_default, d2_lie, kterm, triples
+from pbwlab.koszul import KoszulPoly, d2_default, d2_lie, kterm, triples
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic, lie_data_of, quad_data_of, validate)
 from pbwlab.cyclic import potential_to_presentation
@@ -103,6 +103,20 @@ class TestCertify:
     def test_custom_d2_must_cover_triples(self, sl2):
         with pytest.raises(PathMismatch):
             certify(from_lie(sl2), "custom", custom_d2={})
+
+    def test_custom_d2_must_reduce_to_koszul_at_h0(self, non_jacobi):
+        """The cycle xi12 r - r xi12, r = d1(xi12) = x1x2 - x2x1 - h x1, has
+        d1 . d2 = 0 but is not the Koszul d2 at h = 0, so it proves nothing:
+        both certify and obstruction reject it."""
+        pres = from_lie(non_jacobi)
+        xi12 = kterm(3, [("xi2", 1, 2)])
+        r = KoszulPoly.from_ncpoly(pres.relation(1, 2))
+        assert r == kterm(3, [("x", 1), ("x", 2)]) - kterm(3, [("x", 2), ("x", 1)]) \
+            - kterm(3, [("x", 1)], HPoly.h())
+        cycle = {(1, 2, 3): xi12 * r - r * xi12}
+        for run in (certify, obstruction):
+            with pytest.raises(PathMismatch, match="does not reduce to the Koszul d2 at h = 0"):
+                run(pres, "custom", cycle)
 
 
 class TestJacobiator:

@@ -214,6 +214,16 @@ class TestCustomDifferential:
         code, _, err = run_cli(capsys, "certify", "--input", sl2_file, "--d2", "custom")
         assert code == 3
 
+    def test_value_not_koszul_at_h0_rejected(self, capsys, tmp_path):
+        """An empty value is a cycle, but not the Koszul d2 at h = 0."""
+        pres_file, d2_file = tmp_path / "non_jacobi.json", tmp_path / "d2.json"
+        pres_file.write_text(json.dumps(NON_JACOBI))
+        d2_file.write_text(json.dumps([{"triple": [1, 2, 3], "value": []}]))
+        code, out, err = run_cli(capsys, "certify", "--input", str(pres_file),
+                                 "--d2", "custom", "--d2-file", str(d2_file))
+        assert code == 3 and out == ""
+        assert "input error" in err and "does not reduce to the Koszul d2 at h = 0" in err
+
     def test_bad_symbol_rejected(self, capsys, sl2_file, tmp_path):
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps([{"triple": [1, 2, 3],

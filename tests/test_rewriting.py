@@ -16,7 +16,7 @@ from oracles import (QH_RING, closure_pivots, hpoly_gcd_reference,
 from pbwlab import rewriting
 from pbwlab.errors import (AmbientMismatch, BadSpecialization, FiltrationUnbounded,
                            InputError, OutOfRange)
-from pbwlab.freealg import NCPoly, nc_mul, specialize
+from pbwlab.freealg import NCPoly, deglex_key, nc_mul, specialize
 from pbwlab.jsonio import ncpoly_from_json, presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
@@ -369,10 +369,32 @@ def test_graded_module_membership_matches_fraction_reference(monkeypatch):
     assert answers.count((1, False)) >= 15 and answers.count((2, False)) == 20
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_deglex_rank_is_the_deglex_position(n):
-    for position, word in enumerate(words_up_to(n, 5)):
+    """The rank is a bijection onto 0, 1, 2, ... that orders words as
+    deglex_key does, and a system's rank -> word map decodes it."""
+    words = words_up_to(n, 6)
+    assert sorted(words, key=deglex_key) == words
+    for position, word in enumerate(words):
         assert rewriting._deglex_rank(word, n) == position
+    system = build_rules(Presentation(n), "at", Fraction(0))
+    ranked = system._ranked((word, None) for word in words)
+    assert [rank for rank, _ in ranked] == list(range(len(words)))
+    assert [system._words[rank] for rank, _ in ranked] == words
+
+
+def test_echelon_pivots_are_primitive_with_positive_leads():
+    """`_eliminate` keeps the content; `_echelon_insert` divides it out of each
+    finished pivot once and makes its leading entry positive, whatever the
+    content and sign of the inserted rows."""
+    rng = random.Random(20143)
+    pivots = {}
+    for _ in range(40):
+        row = {rng.randint(0, 12): rng.choice([-6, 6]) * rng.randint(1, 9) for _ in range(4)}
+        rewriting._echelon_insert(pivots, row)
+    assert len(pivots) >= 8
+    for top, row in pivots.items():
+        assert top == max(row) and row[top] > 0 and gcd(*row.values()) == 1, (top, row)
 
 
 def _random_terms(rng, n, coeff):
@@ -400,24 +422,30 @@ def _hrat_corpus_presentations():
     return [presentation_from_json({"potential": entry["potential"]}) for entry in doc]
 
 
+def _decoded(system, ranked):
+    """A normal form of the ranked kernel with its ranks decoded to words."""
+    return {system._words[rank]: c for rank, c in ranked.items()}
+
+
 def _recorded_reductions(system, run):
     """(rules, their largest coefficient bit size, terms, normal form) of every
-    ring-level normal form taken while run() completes system, in field values."""
+    normal form that the ranked kernel takes while run() completes system, in
+    field values."""
     calls = []
-    reduce_ring = system.reduce_ring
+    kernel = system._reduce_ranked
     to_field = system.ring.to_field
 
     def recording(den, terms):
         before = {w: to_field(c, den) for w, c in terms.items()}
-        out_den, out = reduce_ring(den, terms)
+        out_den, out = kernel(den, terms)
         rules = dict(system.rules)
         calls.append((rules, _max_bits(rules), before,
-                      {w: to_field(c, out_den) for w, c in out.items()}))
+                      {w: to_field(c, out_den) for w, c in _decoded(system, out).items()}))
         return out_den, out
 
-    system.reduce_ring = recording
+    system._reduce_ranked = recording
     run()
-    del system.reduce_ring
+    del system._reduce_ranked
     return calls
 
 
@@ -577,24 +605,25 @@ def test_reduce_dict_matches_rescan_reference():
 
 
 def _checked_reductions(system, run):
-    """run(), with every `reduce_ring` call of system checked against the
-    uncached `oracles.reduce_ring_reference`, taken on a copy of the input
-    against the same rules: the same denominator and the same terms, key order
-    included.  Returns the number of calls checked."""
+    """run(), with every call of system's ranked normal-form kernel checked,
+    decoded, against the uncached `oracles.reduce_ring_reference`, taken on a
+    copy of the input against the same rules: the same denominator and the
+    same terms, key order included.  Returns the number of calls checked."""
     calls = 0
-    reduce_ring = system.reduce_ring
+    kernel = system._reduce_ranked
 
     def checking(den, terms):
         nonlocal calls
         expected = reduce_ring_reference(system, den, dict(terms))
-        got = reduce_ring(den, terms)
+        out_den, out = kernel(den, terms)
+        got = out_den, _decoded(system, out)
         assert got == expected and list(got[1]) == list(expected[1])
         calls += 1
-        return got
+        return out_den, out
 
-    system.reduce_ring = checking
+    system._reduce_ranked = checking
     run()
-    del system.reduce_ring
+    del system._reduce_ranked
     return calls
 
 
@@ -647,11 +676,15 @@ def test_rewrite_cache_is_cleared_when_the_rules_change(sl2):
         assert got == expected and list(got[1]) == list(expected[1])
         return got
 
+    def cached():  # the rewrite of word in the ranked cache, ranks decoded
+        scale, spliced = system._rewrites[rewriting._deglex_rank(word, 3)]
+        return scale, [(system._words[rank], c) for rank, c in spliced]
+
     before = normal_form()
-    assert system._rewrites[word][1][0][0] == (2, 3, 1)  # x3 x2 -> x2 x3 + ...
+    assert cached()[1][0][0] == (2, 3, 1)  # x3 x2 -> x2 x3 + ...
     system._set_rule((3,), 1, [((1,), 1)])
     assert normal_form() != before
-    assert system._rewrites[word][1] == [((1, 2, 1), 1)]
+    assert cached()[1] == [((1, 2, 1), 1)]
     system._drop_rule((3,))
     assert normal_form() == before
     system._drop_rule((3, 2))
@@ -703,6 +736,25 @@ def test_lead_scans_are_counted_once_per_word_and_rule_set(monkeypatch):
     assert scans[0] == 0
 
 
+def test_completion_and_member_stay_on_ranks(monkeypatch):
+    """A batched completion at h = a and a member read never take a word-keyed
+    normal form: no call to `reduce_ring`, whose ranks must be decoded."""
+    calls = [0]
+    reduce_ring = rewriting.RewriteSystem.reduce_ring
+
+    def counting(self, den, terms):
+        calls[0] += 1
+        return reduce_ring(self, den, terms)
+
+    monkeypatch.setattr(rewriting.RewriteSystem, "reduce_ring", counting)
+    build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(5)
+    sl2 = build_rules(_corpus_presentation("sl2"), "at", Fraction(1, 2)).complete(6)
+    poly = NCPoly(3, {(3, 2, 1): HPoly.one(), (2, 1, 3): HPoly([2]), (1, 1): HPoly.h()})
+    assert not member(sl2, poly)
+    assert calls == [0]
+    assert sl2.reduce(poly) and calls == [1]
+
+
 def _assert_rows_primitive(system):
     """Every rule row is the cleared form of its derived field tail: primitive,
     with a positive denominator in Z and one with a positive lead in Z[h].  In
@@ -727,15 +779,15 @@ def _assert_rows_primitive(system):
 def _complete_checking_rows(system, degree):
     """complete(degree), checking every row before each normal form it takes,
     so that rows installed mid-completion are checked as well as the final ones."""
-    reduce_ring = system.reduce_ring
+    kernel = system._reduce_ranked
 
     def checking(den, terms):
         _assert_rows_primitive(system)
-        return reduce_ring(den, terms)
+        return kernel(den, terms)
 
-    system.reduce_ring = checking
+    system._reduce_ranked = checking
     system.complete(degree)
-    del system.reduce_ring
+    del system._reduce_ranked
 
 
 def test_rule_rows_stay_primitive():

@@ -11,12 +11,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, str(REPO / "scripts" / name)], cwd=REPO, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / name), *args], cwd=REPO,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -54,6 +54,22 @@ def test_cli_battery():
     assert len({f[0] for f in fields}) == len(fields)  # every argv once
     # no run ends in an internal error; every outcome code occurs
     assert {f[1] for f in fields} == {"0", "1", "2", "3"}
+
+
+def test_ab_fixtures():
+    """One tree on both sides, one timing each: the reports of every fixture
+    agree, and each line gives both times and their ratio."""
+    src = str(REPO / "src")
+    lines = run_script("ab_fixtures.py", src, src, "--repeats", "1")
+    assert lines[0].split() == ["fixture", "old_ms", "new_ms", "new/old"]
+    rows = [line.rsplit(None, 3) for line in lines[1:]]
+    assert [r[0] for r in rows] == (
+        ["cascading@1/2", "cascading@1"]
+        + [f"mixed{k}@{a}" for k, a in enumerate(
+            ["3", "2", "1", "5/2", "-1/2", "2", "5", "2", "1", "3/2", "5/2"])]
+        + [f"hrat{k} generic" for k in range(7)] + ["total h = a", "total generic"])
+    assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
+               for _, old, new, ratio in rows)
 
 
 def test_tracer_tables_resolve():
