@@ -8,8 +8,9 @@ Each package is copied into a temporary directory under its own name
 interpreter holds both.  The fixtures are the benchmark corpus's: the
 cascading presentation at h = 1/2 and h = 1 and the `mixed.json`
 presentations at their points, with `hilbert` at h = a to K = 3, and the
-`hrat.json` potentials with generic `hilbert` to K = 4.  For each fixture the
-script first asserts that both trees report the same `dims`, `excluded` and
+generic `hilbert` questions that the benchmark asks of the corpus: sl2,
+heisenberg and quantum3 to K = 5, strange and the `hrat.json` potentials to
+K = 4.  For each fixture the script first asserts that both trees report the same `dims`, `excluded` and
 `complete_through`, then takes the best of N thread-CPU timings per tree,
 alternating which tree runs first, and prints one line per fixture with both
 times and the ratio new / old, then the totals of the h = a and the generic
@@ -29,6 +30,7 @@ from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 AT_DEGREE, GENERIC_DEGREE = 3, 4
+GENERIC_CORPUS = [("sl2", 5), ("heisenberg", 5), ("quantum3", 5), ("strange", 4)]
 
 
 def load_package(src: str, name: str, into: Path):
@@ -47,6 +49,9 @@ def fixtures() -> list:
     for entry in json.loads((CORPUS / "mixed.json").read_text()):
         out.append((f"{entry['name']}@{entry['at']}", entry["presentation"],
                     Fraction(entry["at"]), AT_DEGREE))
+    for name, degree in GENERIC_CORPUS:
+        doc = json.loads((CORPUS / f"{name}.json").read_text())
+        out.append((f"{name} generic", doc, None, degree))
     for entry in json.loads((CORPUS / "hrat.json").read_text()):
         out.append((f"{entry['name']} generic", {"potential": entry["potential"]}, None,
                     GENERIC_DEGREE))

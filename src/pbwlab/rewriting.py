@@ -15,11 +15,12 @@ Completion stays in the `Ring` whose field of fractions holds the coefficients,
 Z at h = a and Z[h] over Q(h), both integer arithmetic without a Fraction.  A
 rule is only a primitive row lead -> (E, [(word, r)]), tail sum(r * word) / E,
 E positive (a positive lead in Z[h]); overlap differences come from the rows,
-normal forms run over one common denominator, and new rules are the primitive
-rows of normal forms, at h = a after a fraction-free echelon step over the
-whole batch that divides out a row's content once, when the row is finished.
-Intermediate rules still carry coefficients of hundreds of bits, where field
-arithmetic would pay a gcd for every product and sum.
+normal forms run over one common denominator (`Ring.split` gives each step's
+factors, in Z[h] with a gcd only when E does not divide the coefficient), and
+new rules are the primitive rows of normal forms, at h = a after a
+fraction-free echelon step over the whole batch that divides out a row's
+content once, when the row is finished.  Field arithmetic would pay a gcd per
+product and sum of intermediate rules, which carry hundreds of bits.
 `rules` derives the Fraction or HRat tails from the rows.  A polynomial enters
 the ring in one conversion, `Ring.row`, from its own coefficients: at h = a in
 integers, no Fraction built.  The normal-form kernel keys its terms and its
@@ -53,22 +54,23 @@ from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
 from .freealg import (NCPoly, Word, _clear_zpolys, _scaled_coeffs, _zpoly_row, add_terms,
                       check_ambient, specialize)
 from .presentations import Presentation
-from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, clear_denominators,
-                      rational_roots)
+from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, _zpoly_split,
+                      clear_denominators, rational_roots)
 
 TermDict = Dict[Word, object]
 
 
-class Ring(namedtuple("Ring", "unit gcd clear to_field row primitive_row inverted")):
+class Ring(namedtuple("Ring", "unit split clear to_field row primitive_row inverted")):
     """The ring a completion reduces in, inside the field of its coefficients.
 
-    clear(values) is (d, nums) over one denominator d, to_field(v, d) is v / d,
-    row(p, a) is clear of the field terms of p (at h = a over Q) as (d, {word:
-    num}), and primitive_row(d, values) is (d / c, [v / c]) for c the gcd of d
-    and the values, scaled so that d / c is positive in Z and has a positive
-    lead in Z[h]; clear and row return that primitive form already.
-    inverted(lc, d) is the monic numerator of lc / d when it has a root (None
-    in Z): the polynomial that a rule with lead coefficient lc / d inverts."""
+    split(c, e) is (e / g, c / g) for g = gcd(c, e), which is e when e divides c
+    (e is positive in Z, of positive lead in Z[h]).  clear(values) is (d, nums)
+    over one denominator d, to_field(v, d) is v / d, row(p, a) is clear of the
+    field terms of p (at h = a over Q) as (d, {word: num}), and primitive_row(d,
+    values) is (d / c, [v / c]) for c the gcd of d and the values, scaled so that
+    d / c is positive in Z and has a positive lead in Z[h]; clear and row return
+    that primitive form already.  inverted(lc, d) is the monic numerator of lc / d
+    when it has a root (None in Z): the polynomial a rule with that lead inverts."""
 
 
 def _int_row(poly: NCPoly, a) -> tuple:
@@ -107,13 +109,13 @@ def _zpoly_to_field(v: _ZPoly, d: _ZPoly) -> HRat:
 
 
 def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
-    num = lc // _zpoly_gcd(lc, den) if len(den) > 1 else lc
+    num = _zpoly_split(den, lc)[0] if len(den) > 1 else lc  # lc / gcd, up to sign
     return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
 
 
-INTEGERS = Ring(1, gcd, clear_denominators, Fraction, _int_row,
-                _primitive_int_row, lambda lc, den: None)
-ZPOLYS = Ring(_ZPoly((1,)), _zpoly_gcd, _clear_zpolys, _zpoly_to_field, _zpoly_row,
+INTEGERS = Ring(1, lambda c, e: (e // (g := gcd(c, e)), c // g), clear_denominators,
+                Fraction, _int_row, _primitive_int_row, lambda lc, den: None)
+ZPOLYS = Ring(_ZPoly((1,)), _zpoly_split, _clear_zpolys, _zpoly_to_field, _zpoly_row,
               _primitive_zpoly_row, _inverted_zpoly)
 
 
@@ -200,12 +202,13 @@ class RewriteSystem:
         rule match is final, and the leftmost, shortest match of the largest
         reducible word is rewritten first.  Rewriting c * w by lead -> row / E,
         g = gcd(c, E), multiplies the other terms and den by E / g and adds
-        (c / g) * row, so nothing is divided; E = 1 costs no gcd.  The leads are
-        scanned once per word and rule set: `_rewrites` maps the rank to None (no
-        lead) or to (E, [(rank of left + tail word + right, r)]) of that match,
-        so the steps and their integers are those of a fresh scan.
+        (c / g) * row; `Ring.split` gives both, in Z[h] by one synthetic division
+        when E divides c (g = E) and a gcd only when not; E = 1 costs neither.
+        The leads are scanned once per word and rule set: `_rewrites` maps the
+        rank to None (no lead) or to (E, [(rank of left + tail word + right, r)])
+        of that match, so the steps and their integers are those of a fresh scan.
         """
-        one, gcd_, rewrites, words = self.ring.unit, self.ring.gcd, self._rewrites, self._words
+        one, split, rewrites, words = self.ring.unit, self.ring.split, self._rewrites, self._words
         terms = dict(self._ranked(terms.items()))
         heap = [-rank for rank in terms]
         heapq.heapify(heap)
@@ -229,14 +232,11 @@ class RewriteSystem:
             coeff = terms.pop(best)
             scale, spliced = entry
             if scale != one:
-                g = gcd_(coeff, scale)
-                if g != scale:
-                    mult = scale // g
+                mult, coeff = split(coeff, scale)
+                if mult != one:
                     den *= mult
                     for rank in terms:
                         terms[rank] *= mult
-                if g != one:
-                    coeff //= g
             for rank, tc in spliced:
                 add = coeff * tc
                 acc = terms.get(rank)
@@ -336,10 +336,9 @@ class RewriteSystem:
             p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in row_left))
             add_terms(p1, ((prefix + tw, -tc) for tw, tc in row_right))
             return e_left, p1
-        g = self.ring.gcd(e_left, e_right)
-        m_left, m_right = e_right // g, -(e_left // g)
+        m_left, m_right = self.ring.split(e_left, e_right)
         p1 = add_terms({}, ((tw + suffix, tc * m_left) for tw, tc in row_left))
-        add_terms(p1, ((prefix + tw, tc * m_right) for tw, tc in row_right))
+        add_terms(p1, ((prefix + tw, -tc * m_right) for tw, tc in row_right))
         return e_left * m_left, p1
 
     # -- completion --------------------------------------------------------

@@ -9,6 +9,8 @@ denominator coprime, denominator monic and nonzero.  `clear_denominators` and
 `_ZPoly`, a bare tuple of ints, is a polynomial over Z for the generic completion
 ring Z[h]; `hpoly_gcd` is the monic form of its gcd `_zpoly_gcd`, and `HPoly //`
 (exact division, no remainder) divides the primitive parts with `_ZPoly //`.
+`_zpoly_quotient` is the one synthetic-division loop, behind `_ZPoly //` and
+`_zpoly_split(c, e)`, c / e in lowest terms with a gcd only when e does not divide c.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 def _as_fraction(value) -> Fraction:
@@ -271,19 +273,24 @@ class _ZPoly(tuple):
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        d, lc = len(other) - 1, other[-1]
-        rem, quo = list(self), [0] * max(len(self) - d, 0)
-        for shift in range(len(quo) - 1, -1, -1):
-            quo[shift], r = divmod(rem[shift + d], lc)
-            if r:
-                raise ValueError("inexact polynomial division")
-            for i, c in enumerate(other):
-                rem[shift + i] -= quo[shift] * c
-        if any(rem[:d]):
+        if (quo := _zpoly_quotient(self, other)) is None:
             raise ValueError("inexact polynomial division")
-        return _ZPoly(quo)
+        return quo
+
+
+def _zpoly_quotient(a: _ZPoly, b: _ZPoly) -> Optional[_ZPoly]:
+    """a / b in Z[h] by synthetic division, None when b (of either sign) does not divide a."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    d, lc = len(b) - 1, b[-1]
+    rem, quo = list(a), [0] * max(len(a) - d, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        quo[shift], r = divmod(rem[shift + d], lc)
+        if r:
+            return None
+        for i, c in enumerate(b):
+            rem[shift + i] -= quo[shift] * c
+    return None if any(rem[:d]) else _ZPoly(quo)
 
 
 def _zpoly_gcd(a: _ZPoly, b: _ZPoly) -> _ZPoly:
@@ -303,6 +310,15 @@ def _zpoly_gcd(a: _ZPoly, b: _ZPoly) -> _ZPoly:
     if pa[-1] < 0:
         content = -content
     return _ZPoly([c * content for c in pa])
+
+
+def _zpoly_split(c: _ZPoly, e: _ZPoly) -> tuple:
+    """(e / g, c / g) for g = gcd(c, e), e with a positive lead: when e divides
+    c, g = e and one synthetic division gives (1, c / e) without a gcd."""
+    if (quo := _zpoly_quotient(c, e)) is not None:
+        return _ZPoly((1,)), quo
+    g = _zpoly_gcd(c, e)
+    return e // g, c // g
 
 
 def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:

@@ -17,10 +17,12 @@ import heapq
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from pbwlab.freealg import NCPoly, deglex_key, specialize
 from pbwlab.presentations import Presentation, QuadData
-from pbwlab.scalars import HPoly, HRat, clear_denominators, clear_hrat_denominators
+from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _ZPoly, clear_denominators,
+                            clear_hrat_denominators)
 
 
 def words_up_to(n, max_len):
@@ -254,6 +256,11 @@ def _primitive_hpoly_row(den: HPoly, values: list) -> tuple:
     return den // content, [v // content for v in values]
 
 
+def _split_hpoly(c: HPoly, e: HPoly) -> tuple:
+    g = hpoly_gcd_reference(c, e)
+    return e // g, c // g
+
+
 def _inverted_hpoly(lc: HPoly, den: HPoly):
     num = lc // hpoly_gcd_reference(lc, den) if den.degree > 0 else lc
     return monic_reference(num) if num.degree >= 1 else None
@@ -271,8 +278,8 @@ def ring_row_reference(ring, poly: NCPoly, a):
 # and gcd(E, row) = 1 in Q[h], every gcd a Euclidean one in Fractions.  It has
 # the fields of `pbwlab.rewriting.Ring`, so a RewriteSystem built with it in
 # place of the Z[h] ring completes the same system in other arithmetic.
-QhRing = namedtuple("QhRing", "unit gcd clear to_field row primitive_row inverted")
-QH_RING = QhRing(HPoly.one(), hpoly_gcd_reference, clear_hrat_denominators, HRat,
+QhRing = namedtuple("QhRing", "unit split clear to_field row primitive_row inverted")
+QH_RING = QhRing(HPoly.one(), _split_hpoly, clear_hrat_denominators, HRat,
                  lambda poly, a: ring_row_reference(QH_RING, poly, a),
                  _primitive_hpoly_row, _inverted_hpoly)
 
@@ -324,9 +331,12 @@ def _first_lead_match(by_len, word):
 def reduce_ring_reference(system, den, terms):
     """`RewriteSystem.reduce_ring` without its rewrite cache: the same deglex
     max-heap and fraction-free steps, but the rule leads are scanned afresh for
-    every popped word and each tail word is spliced at every step.  terms is
-    updated in place; returns (den', terms')."""
-    one, gcd_, n = system.ring.unit, system.ring.gcd, system.n
+    every popped word and each tail word is spliced at every step, and each step
+    takes its gcd and divisions itself (`math.gcd`, `_zpoly_gcd` or
+    `hpoly_gcd_reference`, by the ring's unit) instead of calling `Ring.split`.
+    terms is updated in place; returns (den', terms')."""
+    one, n = system.ring.unit, system.n
+    gcd_ = {int: gcd, _ZPoly: _zpoly_gcd, HPoly: hpoly_gcd_reference}[type(one)]
 
     def rank(word):
         value = 0

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import (QH_RING, closure_pivots, hpoly_gcd_reference,
+from oracles import (QH_RING, closure_pivots, hpoly_divmod_reference, hpoly_gcd_reference,
                      module_membership_reference, normal_form_reference,
                      reduce_ring_reference, ring_row_reference, words_up_to)
-from pbwlab import rewriting
+from pbwlab import rewriting, scalars
 from pbwlab.errors import (AmbientMismatch, BadSpecialization, FiltrationUnbounded,
                            InputError, OutOfRange)
 from pbwlab.freealg import NCPoly, deglex_key, nc_mul, specialize
@@ -860,6 +860,47 @@ def test_generic_completion_matches_qh_reference(monkeypatch):
                     == reference.normal_word_counts(degree)), (case, degree)
         with_excluded += bool(system.excluded)
     assert len(cases) == 23 and with_excluded >= 10
+
+
+def test_generic_steps_take_a_gcd_only_when_e_does_not_divide(monkeypatch):
+    """On the generic completions of `hilbert` at K = 4 on the corpus
+    potentials (deepened until the counts settle), the kernel calls
+    `_zpoly_gcd` once per rewrite step whose E is not 1 and does not divide the
+    coefficient in Z[h], and never otherwise: the gcd calls made inside
+    `_reduce_ranked` equal the number of such steps, each decided by the
+    reference long division in Fractions (a remainder, or a non-integral
+    quotient).  Most steps divide."""
+    calls = {"gcd": 0, "divides": 0, "does_not": 0}
+    inside = []
+    gcd_, split = scalars._zpoly_gcd, rewriting.ZPOLYS.split
+    kernel = rewriting.RewriteSystem._reduce_ranked
+
+    def counting_gcd(a, b):
+        calls["gcd"] += bool(inside)
+        return gcd_(a, b)
+
+    def recording_split(c, e):
+        if inside:
+            assert e != (1,)
+            quo, rem = hpoly_divmod_reference(HPoly(c), HPoly(e))
+            exact = not rem and all(v.denominator == 1 for v in quo.coeffs)
+            calls["divides" if exact else "does_not"] += 1
+        return split(c, e)
+
+    def marked_kernel(system, den, terms):
+        inside.append(True)
+        try:
+            return kernel(system, den, terms)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scalars, "_zpoly_gcd", counting_gcd)
+    monkeypatch.setattr(rewriting, "ZPOLYS", rewriting.ZPOLYS._replace(split=recording_split))
+    monkeypatch.setattr(rewriting.RewriteSystem, "_reduce_ranked", marked_kernel)
+    for pres in _hrat_corpus_presentations():
+        hilbert(pres, 4, generic=True)
+    assert calls["gcd"] == calls["does_not"] > 0
+    assert calls["divides"] > calls["does_not"]
 
 
 class TestReduceEdgeCases:

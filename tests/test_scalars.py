@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (hpoly_divmod_reference, hpoly_gcd_reference, monic_reference,
                      rational_roots_reference)
-from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _ZPoly, clear_hrat_denominators,
-                            hpoly_gcd, rational_roots)
+from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _zpoly_quotient, _zpoly_split, _ZPoly,
+                            clear_hrat_denominators, hpoly_gcd, rational_roots)
 
 
 class TestHPolyBasics:
@@ -354,3 +354,36 @@ def test_zpoly_gcd(a, b, common):
     assert gcd(*g) == gcd(gcd(*a), gcd(*b))
     assert monic_reference(HPoly(g)) == hpoly_gcd(HPoly(a), HPoly(b)) \
         == hpoly_gcd_reference(HPoly(a), HPoly(b))
+
+
+@settings(max_examples=300)
+@given(_zpolys(), _zpolys(max_degree=2, bound=12).filter(bool), _zpolys(max_degree=3),
+       st.sampled_from(["plain", "constant", "content", "divides"]), st.integers(2, 6))
+@example(_ZPoly((1, 1)), _ZPoly((1, 1)), _ZPoly(), "content", 2)  # 2 + 2h and 1 + h
+@example(_ZPoly((3, 0, 6)), _ZPoly((1, 0, 2)), _ZPoly(), "content", 3)
+def test_zpoly_split_matches_gcd_then_divide(c, e, q, shape, k):
+    """`_zpoly_split(c, E)` is (E / g, c / g) for g = gcd(c, E), E of positive
+    lead: E constant, E with content k > 1 (2 + 2h), E | c by construction, or
+    neither.  `_zpoly_quotient` by E and by -E is None exactly when the
+    reference long division in Fractions leaves a remainder or a non-integral
+    quotient, and is that quotient otherwise."""
+    e = e if e[-1] > 0 else -e
+    if shape == "constant":
+        e = _ZPoly((k,))
+    elif shape == "content":
+        e = e * _ZPoly((k,))
+    elif shape == "divides":
+        c = e * q
+    g = _zpoly_gcd(c, e)
+    split = _zpoly_split(c, e)
+    assert split == (e // g, c // g)
+    assert all(type(v) is _ZPoly for v in split)
+    for divisor in (e, -e):
+        quo, rem = hpoly_divmod_reference(HPoly(c), HPoly(divisor))
+        got = _zpoly_quotient(c, divisor)
+        if rem or any(v.denominator != 1 for v in quo.coeffs):
+            assert got is None
+        else:
+            _assert_zpoly(got, quo)
+    if shape == "divides":
+        assert split == (_ZPoly((1,)), q)

@@ -67,6 +67,7 @@ def test_ab_fixtures():
         ["cascading@1/2", "cascading@1"]
         + [f"mixed{k}@{a}" for k, a in enumerate(
             ["3", "2", "1", "5/2", "-1/2", "2", "5", "2", "1", "3/2", "5/2"])]
+        + [f"{name} generic" for name in ("sl2", "heisenberg", "quantum3", "strange")]
         + [f"hrat{k} generic" for k in range(7)] + ["total h = a", "total generic"])
     assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
                for _, old, new, ratio in rows)
