@@ -2,30 +2,30 @@
 
 `WordPoly` is the one sparse core behind every polynomial type of the
 workbench: a map from words (tuples of hashable letters, or any hashable key)
-to coefficients that never stores a zero.  `add_terms` is the only place
-where terms are accumulated: a new word is appended to the dict and a
-cancelled one is deleted, so the key order of every result is fixed by the
-order of its inputs.  `nc_mul` concatenates words and serves every
+to coefficients that never stores a zero.  `add_terms` is the shared
+accumulate/drop-zero loop: a new word is appended to the dict and a cancelled
+one is deleted, so the key order of every result is fixed by the order of its
+inputs.  Four hot loops accumulate inline instead, each for a reason of its
+own: `koszul.residues` drops its zeros once, at the end; `rewriting._reduce_ranked`
+pushes each new word onto its heap; `rewriting._eliminate` works on integer
+columns; `certificates.check_quadratic_condition` sums into a `defaultdict`
+and reads only the nonzero sums.  `nc_mul` concatenates words and serves every
 `WordPoly` whose words are tuples.
 
 An `NCPoly` is a `WordPoly` over generator indices in 1..n; the empty tuple
 is the unit monomial.  Coefficients may be `Fraction`, `HPoly`, or `HRat`; a
 single polynomial keeps one coefficient kind throughout.  Words are ordered
 degree first, then lexicographically (deglex), which is also the
-deterministic order of `sorted_terms`.  `_zpoly_row` puts the coefficients of
-any word polynomial over one Z[h] denominator: the ring row of `rewriting`,
-and the way a custom d2 enters the certificate kernel of `koszul`.
+deterministic order of `sorted_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Dict, Hashable, Iterable, Tuple
 
 from .errors import AmbientMismatch, BadIndex, UndefinedDegree
-from .scalars import (HPoly, HRat, _ZPoly, clear_denominators, clear_hrat_denominators,
-                      format_hpoly, format_rational)
+from .scalars import HPoly, HRat, format_hpoly, format_rational
 
 Word = Tuple[int, ...]
 
@@ -143,35 +143,6 @@ def nc_mul(p: WordPoly, q: WordPoly) -> WordPoly:
     return p.adopt(p.n, add_terms({}, ((wp + wq, cp * cq)
                                        for wp, cp in p.terms.items()
                                        for wq, cq in q.terms.items())))
-
-
-def _scaled_coeffs(terms: dict) -> tuple:
-    """clear_denominators of the h^k coefficients c_k of the Fraction and HPoly
-    values of terms, split back per key: (L, {key: [L * c_k]})."""
-    coeffs = [c.coeffs if isinstance(c, HPoly) else (c,) for c in terms.values()]
-    big, ints = clear_denominators([c for cs in coeffs for c in cs])
-    ints = iter(ints)
-    return big, {w: list(islice(ints, len(cs))) for w, cs in zip(terms, coeffs)}
-
-
-def _clear_zpolys(values) -> tuple:
-    """(d, nums), Q(h) values over one Z[h] denominator d with a positive lead.
-    Primitive: both the Q[h] and the Z clearing of reduced fractions are."""
-    den, nums = clear_hrat_denominators(values)
-    ints = iter(clear_denominators([c for p in (den, *nums) for c in p.coeffs])[1])
-    den, *nums = [_ZPoly(islice(ints, len(p.coeffs))) for p in (den, *nums)]
-    return den, nums
-
-
-def _zpoly_row(poly: WordPoly, a=None) -> tuple:
-    """(d, {word: num}), the coefficients of poly over one Z[h] denominator: L * c
-    over L when they are polynomials, else _clear_zpolys of their Q(h) values."""
-    if any(isinstance(c, HRat) for c in poly.terms.values()):
-        den, nums = _clear_zpolys([c if isinstance(c, HRat) else HRat(c)
-                                   for c in poly.terms.values()])
-        return den, dict(zip(poly.terms, nums))
-    big, ints = _scaled_coeffs(poly.terms)
-    return _ZPoly((big,)), {w: _ZPoly(v) for w, v in ints.items()}
 
 
 class NCPoly(WordPoly):

@@ -5,13 +5,13 @@ antisymmetric) and xi_ijk (degree -2, totally antisymmetric).  Only these
 three degrees are represented; this is exactly what the nilpotence check
 d1 . d2 = 0 consumes.
 
-The check runs on Z[h] (`_ZPoly`, the kernel of `rewriting`).  `d1_rows`
-reads every d1(xi_pq) straight from the tails over one integer denominator.
-A d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v
-and a Z[h] numerator c over the triple's denominator.  The default, Lie and
+The check runs on Z[h], in the `scalars.ZPOLYS` ring.  `d1_rows` reads every
+d1(xi_pq) from the ring row of the tails, over one integer denominator.  A
+d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v and
+a Z[h] numerator c over the triple's denominator.  The default, Lie and
 quadratic entries are built from their formulas; a custom d2 enters through
-the ring-row clearing of `freealg`.  `residues` sums every c * u d1(xi_pq) v
-of a triple in one dict and turns only its nonzero words into `HPoly`s.
+`ZPOLYS.row`.  `residues` sums every c * u d1(xi_pq) v of a triple in one dict
+and turns only its nonzero words into field values with `scalars._zpoly_to_field`.
 
 `HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
 `d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
@@ -24,15 +24,14 @@ tuples as letters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Tuple
 
 from .errors import BadIndex, Inhomogeneous
-from .freealg import NCPoly, WordPoly, _scaled_coeffs, _zpoly_row, add_terms, nc_mul
+from .freealg import NCPoly, WordPoly, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
-from .scalars import HPoly, HRat, _ZPoly, clear_denominators
+from .scalars import ZPOLYS, HPoly, _ZPoly, _zpoly_to_field, clear_denominators
 
 Symbol = Tuple
 Pair = Tuple[int, int]
@@ -238,10 +237,10 @@ def quadratic_entries(data: QuadData) -> dict:
 
 def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
     """Entries of KoszulPoly values with exactly one xi2 symbol per word, through
-    the ring-row clearing of `freealg`; each triple keeps its own denominator."""
+    the Z[h] ring row; each triple keeps its own denominator."""
     out = {}
     for tri, value in d2.items():
-        den, row = _zpoly_row(value)
+        den, row = ZPOLYS.row(value, None)
         entries = []
         for word, num in row.items():
             pos = next(k for k, sym in enumerate(word) if sym[0] == "xi2")
@@ -251,20 +250,13 @@ def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
     return out
 
 
-def _to_scalar(num: _ZPoly, den: _ZPoly):
-    """num / den as an HPoly, or an HRat when den is not a constant."""
-    if len(den) == 1:
-        return HPoly([Fraction(c, den[0]) for c in num])
-    return HRat(HPoly(num), HPoly(den))
-
-
 def d2_view(n: int, d2: dict) -> Dict[Triple, KoszulPoly]:
     """The KoszulPoly values of d2's entries, terms in the order of the entries."""
     out = {}
     for tri, (den, entries) in d2.items():
         out[tri] = KoszulPoly.adopt(n, add_terms({}, (
             (tuple(("x", i) for i in u) + (("xi2", *pq),) + tuple(("x", i) for i in v),
-             _to_scalar(c, den)) for u, pq, v, c in entries)))
+             _zpoly_to_field(c, den)) for u, pq, v, c in entries)))
     return out
 
 
@@ -285,18 +277,13 @@ def d2_quadratic(data: QuadData) -> Dict[Triple, KoszulPoly]:
 
 def d1_rows(p: Presentation) -> tuple:
     """(L, {pair: {word: num}}): d1(xi_pq) = x_p x_q - x_q x_p - phi_pq for p < q,
-    read from the tails with each Z[h] numerator over the one integer L."""
-    big, nums = _scaled_coeffs({(pair, w): c for pair, poly in p.phi.items()
-                                for w, c in poly.terms.items()})
-    one = _ZPoly((big,))
-    rows = {(i, j): {(i, j): one, (j, i): -one} for i, j in p.pairs()}
+    read from the Z[h] ring row of the tails, each numerator over the one
+    integer L (a constant `_ZPoly`)."""
+    big, nums = ZPOLYS.row(WordPoly.adopt(p.n, {(pair, w): c for pair, poly in p.phi.items()
+                                                for w, c in poly.terms.items()}), None)
+    rows = {(i, j): {(i, j): big, (j, i): -big} for i, j in p.pairs()}
     for (pair, word), num in nums.items():
-        row = rows[pair]
-        acc = row.get(word, _ZPoly()) + _ZPoly([-c for c in num])
-        if acc:
-            row[word] = acc
-        else:
-            del row[word]
+        add_terms(rows[pair], ((word, -num),))
     return big, rows
 
 
@@ -314,8 +301,8 @@ def residues(p: Presentation, d2: dict) -> Dict[Triple, NCPoly]:
                 term = c * r
                 old = acc.get(key)
                 acc[key] = term if old is None else old + term
-        den = den * _ZPoly((big,))
-        out[tri] = NCPoly.adopt(p.n, {w: _to_scalar(num, den) for w, num in acc.items() if num})
+        den = den * big
+        out[tri] = NCPoly.adopt(p.n, {w: _zpoly_to_field(num, den) for w, num in acc.items() if num})
     return out
 
 

@@ -11,8 +11,9 @@ mode every polynomial inverted while normalizing a rule is recorded, since
 its roots are the specializations at which the completed system may
 degenerate.
 
-Completion stays in the `Ring` whose field of fractions holds the coefficients,
-Z at h = a and Z[h] over Q(h), both integer arithmetic without a Fraction.  A
+Completion stays in the `scalars.Ring` whose field of fractions holds the
+coefficients, `INTEGERS` (Z) at h = a and `ZPOLYS` (Z[h]) over Q(h), both
+integer arithmetic without a Fraction; every row operation is the ring's.  A
 rule is only a primitive row lead -> (E, [(word, r)]), tail sum(r * word) / E,
 E positive (a positive lead in Z[h]); overlap differences come from the rows,
 normal forms run over one common denominator (`Ring.split` gives each step's
@@ -21,13 +22,13 @@ new rules are the primitive rows of normal forms, at h = a after a
 fraction-free echelon step over the whole batch that divides out a row's
 content once, when the row is finished.  Field arithmetic would pay a gcd per
 product and sum of intermediate rules, which carry hundreds of bits.
-`rules` derives the Fraction or HRat tails from the rows.  A polynomial enters
-the ring in one conversion, `Ring.row`, from its own coefficients: at h = a in
-integers, no Fraction built.  The normal-form kernel keys its terms and its
-rewrite cache (cleared by `_set_rule` and `_drop_rule`) by deglex rank; word
-tuples are built only where words enter or leave it and on a cache miss, and
-a map per system decodes ranks.  `member` and torsion's separation probes
-answer from the ranked normal form, without words or field values.
+`rules` derives the Fraction or HRat tails from the rows with `Ring.to_field`.
+Every polynomial, `reduce_dict`'s terms included, enters the ring through
+`Ring.row`.  The normal-form kernel keys its terms and its rewrite cache
+(cleared by `_set_rule` and `_drop_rule`) by deglex rank; word tuples are
+built only where words enter or leave it and on a cache miss, and a map per
+system decodes ranks.  `member` and torsion's separation probes answer from
+the ranked normal form, without words or field values.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -41,82 +42,19 @@ the lengths that T's words have are row-reduced.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
-from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
-from .freealg import (NCPoly, Word, _clear_zpolys, _scaled_coeffs, _zpoly_row, add_terms,
-                      check_ambient, specialize)
+from .freealg import NCPoly, Word, add_terms, check_ambient
 from .presentations import Presentation
-from .scalars import (HPoly, HRat, _as_fraction, _ZPoly, _zpoly_gcd, _zpoly_split,
-                      clear_denominators, rational_roots)
+from .scalars import INTEGERS, ZPOLYS, HPoly, clear_denominators, rational_roots
 
 TermDict = Dict[Word, object]
-
-
-class Ring(namedtuple("Ring", "unit split clear to_field row primitive_row inverted")):
-    """The ring a completion reduces in, inside the field of its coefficients.
-
-    split(c, e) is (e / g, c / g) for g = gcd(c, e), which is e when e divides c
-    (e is positive in Z, of positive lead in Z[h]).  clear(values) is (d, nums)
-    over one denominator d, to_field(v, d) is v / d, row(p, a) is clear of the
-    field terms of p (at h = a over Q) as (d, {word: num}), and primitive_row(d,
-    values) is (d / c, [v / c]) for c the gcd of d and the values, scaled so that
-    d / c is positive in Z and has a positive lead in Z[h]; clear and row return
-    that primitive form already.  inverted(lc, d) is the monic numerator of lc / d
-    when it has a root (None in Z): the polynomial a rule with that lead inverts."""
-
-
-def _int_row(poly: NCPoly, a) -> tuple:
-    """clear(specialize(poly, a)) without a Fraction per operation: at a = p/q,
-    L * q^D * sum(c_k * a^k), D the top h-degree, is the integer
-    sum(L * c_k * p^k * q^(D - k)); the row is then made primitive.  HRat
-    coefficients are specialized first: only their values need a field division."""
-    if any(isinstance(c, HRat) for c in poly.terms.values()):
-        poly = specialize(poly, a)
-    big, ints = _scaled_coeffs(poly.terms)
-    p, q = _as_fraction(a).as_integer_ratio()
-    top = max(map(len, ints.values()), default=1) - 1
-    weights = [p ** k * q ** (top - k) for k in range(top + 1)]
-    row = {w: v for w, vs in ints.items() if (v := sum(map(mul, vs, weights)))}
-    den, nums = _primitive_int_row(big * q ** top, list(row.values()))
-    return den, dict(zip(row, nums))
-
-
-def _primitive_int_row(den: int, values: list) -> tuple:
-    content = gcd(den, *values) if den > 0 else -gcd(den, *values)
-    return den // content, [v // content for v in values]
-
-
-def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:
-    g = den if den[-1] > 0 else -den
-    for v in values:  # once g is a unit, each value costs a few integer gcds
-        g = _zpoly_gcd(g, v)
-    g = g if den[-1] > 0 else -g
-    return (den, values) if g == (1,) else (den // g, [v // g for v in values])
-
-
-def _zpoly_to_field(v: _ZPoly, d: _ZPoly) -> HRat:
-    if len(d) == 1:  # no gcd to take, and the Fractions reduce as they are built
-        return HRat(HPoly([Fraction(c, d[0]) for c in v]))
-    return HRat(HPoly(v), HPoly(d))
-
-
-def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
-    num = _zpoly_split(den, lc)[0] if len(den) > 1 else lc  # lc / gcd, up to sign
-    return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
-
-
-INTEGERS = Ring(1, lambda c, e: (e // (g := gcd(c, e)), c // g), clear_denominators,
-                Fraction, _int_row, _primitive_int_row, lambda lc, den: None)
-ZPOLYS = Ring(_ZPoly((1,)), _zpoly_split, _clear_zpolys, _zpoly_to_field, _zpoly_row,
-              _primitive_zpoly_row, _inverted_zpoly)
 
 
 class RewriteSystem:
@@ -261,11 +199,8 @@ class RewriteSystem:
 
     def reduce_dict(self, terms: TermDict) -> TermDict:
         """Normal form of a word -> field coefficient dict with respect to the
-        current rules: the field wrapper of `reduce_ring`."""
-        ring = self.ring
-        den, nums = ring.clear(terms.values())
-        den, out = self.reduce_ring(den, dict(zip(terms, nums)))
-        return {w: ring.to_field(v, den) for w, v in out.items()}
+        current rules: `reduce` of the polynomial with those terms."""
+        return self.reduce(NCPoly.adopt(self.n, terms)).terms
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """Normal form of p with respect to the current rules."""
@@ -489,22 +424,19 @@ MAX_EXTRA_DEPTH = 4  # completion depths hilbert may add beyond K + 1 while stab
 
 
 def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
-            generic: bool = False, stabilize: bool = True) -> HilbertReport:
+            generic: bool = False) -> HilbertReport:
     """Dimensions of the degree filtration quotients against C(n+k-1, k), k <= K.
 
-    Completion starts at overlap degree K + 1.  With stabilize (the default)
-    it is deepened, reusing the completed system, until the counts through
-    degree K agree at two consecutive depths: relation tails of lower degree
-    can cascade consequences several degrees down (a degree-2 relation with a
-    constant term may only reveal a degree-1 collapse through degree-5
-    overlaps), so the fixed one-degree margin alone is not reliable.  If the
-    counts are still moving at depth K + 1 + MAX_EXTRA_DEPTH, every degree is
-    reported as unknown rather than guessed.
-
-    stabilize=False stops at K + 1 and reports the counts as they stand.
-    They are always upper bounds for the true dimensions, so this mode is the
-    cheap choice when flatness is already known from a passing certificate:
-    counts that equal the symmetric dimensions are then provably exact.
+    Completion starts at overlap degree K + 1 and is deepened, reusing the
+    completed system, until the counts through degree K agree at two
+    consecutive depths: relation tails of lower degree can cascade
+    consequences several degrees down (a degree-2 relation with a constant
+    term may only reveal a degree-1 collapse through degree-5 overlaps), so
+    the fixed one-degree margin alone is not reliable.  If the counts are
+    still moving at depth K + 1 + MAX_EXTRA_DEPTH, every degree is reported
+    as unknown rather than guessed.  The counts at a single depth,
+    `build_rules(p, mode, a).complete(K + 1).normal_word_counts(K)`, are
+    always upper bounds for the true dimensions.
     """
     if K < 1:
         raise InputError("degree bound must be at least 1")
@@ -517,8 +449,8 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
     depth = K + 1
     system.complete(depth)
     dims = system.normal_word_counts(K)
-    stable = not stabilize
-    while stabilize and depth < K + 1 + MAX_EXTRA_DEPTH:
+    stable = False
+    while depth < K + 1 + MAX_EXTRA_DEPTH:
         depth += 1
         system.complete(depth)
         nxt = system.normal_word_counts(K)

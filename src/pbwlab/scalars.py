@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic: rationals, polynomials in hbar, and their fraction field.
+"""Exact coefficient arithmetic: rationals, polynomials in hbar, their fraction
+field, and the integer-row rings that completion and certification compute in.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
 `HPoly` is a univariate polynomial in hbar over the rationals, stored as a
@@ -6,20 +7,28 @@ coefficient tuple lowest power first with trailing zeros stripped.  `HRat`
 is the fraction field of `HPoly`, kept in canonical form: numerator and
 denominator coprime, denominator monic and nonzero.  `clear_denominators` and
 `clear_hrat_denominators` put values of Q and Q(h) over one denominator in Z and Q[h].
-`_ZPoly`, a bare tuple of ints, is a polynomial over Z for the generic completion
-ring Z[h]; `hpoly_gcd` is the monic form of its gcd `_zpoly_gcd`, and `HPoly //`
-(exact division, no remainder) divides the primitive parts with `_ZPoly //`.
-`_zpoly_quotient` is the one synthetic-division loop, behind `_ZPoly //` and
-`_zpoly_split(c, e)`, c / e in lowest terms with a gcd only when e does not divide c.
+`_ZPoly`, a bare tuple of ints, is a polynomial over Z; `hpoly_gcd` is the monic
+form of its gcd `_zpoly_gcd`, and `HPoly //` (exact division, no remainder)
+divides the primitive parts with `_ZPoly //`.  `_zpoly_quotient` is the one
+synthetic-division loop, behind `_ZPoly //` and `_zpoly_split(c, e)`, c / e in
+lowest terms with a gcd only when e does not divide c.
+
+A `Ring` is where a word polynomial's coefficients are computed as integer
+rows, primitive over one denominator: `INTEGERS` (Z, at h = a) and `ZPOLYS`
+(Z[h], over Q(h)).  A polynomial enters a ring only through `Ring.row`, which
+reads nothing of it but its `terms`; `_zpoly_to_field` is the one conversion
+of Z[h] values back to `HPoly` or `HRat`.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional
 
 
@@ -557,3 +566,95 @@ def format_hpoly(p: HPoly) -> str:
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
+
+
+# -- integer-row rings ------------------------------------------------------
+
+class Ring(namedtuple("Ring", "unit split to_field row primitive_row inverted")):
+    """A ring of integer rows inside the field of its coefficients.
+
+    split(c, e) is (e / g, c / g) for g = gcd(c, e), which is e when e divides c
+    (e is positive in Z, of positive lead in Z[h]).  to_field(v, d) is v / d in
+    the field.  row(p, a) is (d, {word: num}), the terms of the word polynomial
+    p (at h = a over Q) over one denominator d, read from p.terms alone.
+    primitive_row(d, values) is (d / c, [v / c]) for c the gcd of d and the
+    values, scaled so that d / c is positive in Z and has a positive lead in
+    Z[h]; row returns that primitive form already.  inverted(lc, d) is the
+    monic numerator of lc / d when it has a root (None in Z): the polynomial a
+    rule with that lead inverts."""
+
+
+def _scaled_coeffs(terms: dict) -> tuple:
+    """clear_denominators of the h^k coefficients c_k of the Fraction and HPoly
+    values of terms, split back per key: (L, {key: [L * c_k]})."""
+    coeffs = [c.coeffs if isinstance(c, HPoly) else (c,) for c in terms.values()]
+    big, ints = clear_denominators([c for cs in coeffs for c in cs])
+    ints = iter(ints)
+    return big, {w: list(islice(ints, len(cs))) for w, cs in zip(terms, coeffs)}
+
+
+def _int_row(poly, a) -> tuple:
+    """The row of poly at h = a without a Fraction per operation: at a = p/q,
+    L * q^D * sum(c_k * a^k), D the top h-degree, is the integer
+    sum(L * c_k * p^k * q^(D - k)); the row is then made primitive.  HRat
+    coefficients are evaluated first: only their values need a field division."""
+    terms = poly.terms
+    if any(isinstance(c, HRat) for c in terms.values()):
+        terms = {w: c.eval(a) if isinstance(c, HRat) else c for w, c in terms.items()}
+    big, ints = _scaled_coeffs(terms)
+    p, q = _as_fraction(a).as_integer_ratio()
+    top = max(map(len, ints.values()), default=1) - 1
+    weights = [p ** k * q ** (top - k) for k in range(top + 1)]
+    row = {w: v for w, vs in ints.items() if (v := sum(map(mul, vs, weights)))}
+    den, nums = _primitive_int_row(big * q ** top, list(row.values()))
+    return den, dict(zip(row, nums))
+
+
+def _zpoly_row(poly, a) -> tuple:
+    """The row of poly over Q(h), a ignored: L * c over L when the coefficients
+    are polynomials, L the lcm of their rational coefficients' denominators;
+    else their Q(h) values over the monic lcm of the denominators, every
+    rational coefficient of which is then scaled by one integer lcm.  The
+    denominator has a positive lead, and the row is primitive: both clearings
+    of reduced fractions are."""
+    if not any(isinstance(c, HRat) for c in poly.terms.values()):
+        big, ints = _scaled_coeffs(poly.terms)
+        return _ZPoly((big,)), {w: _ZPoly(v) for w, v in ints.items()}
+    den, nums = clear_hrat_denominators([c if isinstance(c, HRat) else HRat(c)
+                                         for c in poly.terms.values()])
+    ints = iter(clear_denominators([c for p in (den, *nums) for c in p.coeffs])[1])
+    den, *nums = [_ZPoly(islice(ints, len(p.coeffs))) for p in (den, *nums)]
+    return den, dict(zip(poly.terms, nums))
+
+
+def _primitive_int_row(den: int, values: list) -> tuple:
+    content = gcd(den, *values) if den > 0 else -gcd(den, *values)
+    return den // content, [v // content for v in values]
+
+
+def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:
+    g = den if den[-1] > 0 else -den
+    for v in values:  # once g is a unit, each value costs a few integer gcds
+        g = _zpoly_gcd(g, v)
+    g = g if den[-1] > 0 else -g
+    return (den, values) if g == (1,) else (den // g, [v // g for v in values])
+
+
+def _zpoly_to_field(v: _ZPoly, d: _ZPoly):
+    """v / d as an HPoly when d is a constant (no gcd to take, and the Fractions
+    reduce as they are built), else as an HRat."""
+    if len(d) == 1:
+        return HPoly([Fraction(c, d[0]) for c in v])
+    return HRat(HPoly(v), HPoly(d))
+
+
+def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
+    num = _zpoly_split(den, lc)[0] if len(den) > 1 else lc  # lc / gcd, up to sign
+    return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
+
+
+INTEGERS = Ring(1, lambda c, e: (e // (g := gcd(c, e)), c // g), Fraction, _int_row,
+                _primitive_int_row, lambda lc, den: None)
+# HRat._coerce builds an HRat only around an HPoly: HRat(HRat) would reduce it again
+ZPOLYS = Ring(_ZPoly((1,)), _zpoly_split, lambda v, d: HRat._coerce(_zpoly_to_field(v, d)),
+              _zpoly_row, _primitive_zpoly_row, _inverted_zpoly)

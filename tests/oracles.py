@@ -4,20 +4,21 @@ Nothing here calls the rewriting or certificate machinery: dimensions come
 from exact row reduction of explicit relation multiples, residue
 expansions from direct index summation, and differentials of Koszul words
 from plain dict products.  `reduce_ring_reference` reads a rewrite system's
-rule rows but calls none of its methods, and `ring_row_reference` calls only
-the given ring's `clear`.  `certify_residues_reference` builds d2 from the
-Koszul formulas one `kterm` at a time and applies d1 through
-`apply_d_reference`.  `quadratic_condition_reference` scans all n^6 tuples
-of the cyclic coefficient condition through `QuadData.alpha_at`; it shares
-only the `ConditionReport` record with `certificates`.  Disagreement with the
-library is a build failure, not a tolerance question.
+rule rows but calls none of its methods, and `ring_row_reference` clears
+with `scalars.clear_denominators` and `clear_hrat_denominators` alone.
+`certify_residues_reference` builds d2 from the Koszul formulas one `kterm`
+at a time and applies d1 through `apply_d_reference`.
+`quadratic_condition_reference` scans all n^6 tuples of the cyclic
+coefficient condition through `QuadData.alpha_at`; it shares only the
+`ConditionReport` record with `certificates`.  Disagreement with the library
+is a build failure, not a tolerance question.
 """
 
 import heapq
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from pbwlab.freealg import NCPoly, deglex_key, specialize
 from pbwlab.presentations import Presentation, QuadData
@@ -266,22 +267,37 @@ def _inverted_hpoly(lc: HPoly, den: HPoly):
     return monic_reference(num) if num.degree >= 1 else None
 
 
-def ring_row_reference(ring, poly: NCPoly, a):
-    """`Ring.row` in two steps: the field terms of poly (its values at h = a,
-    or its Q(h) coefficients when a is None), then ring.clear of them."""
-    terms = specialize(poly, a).terms if a is not None else poly.with_hrat_coeffs().terms
-    den, nums = ring.clear(terms.values())
+def ring_row_reference(poly: NCPoly, a):
+    """`Ring.row` in two steps: the field terms of poly, then their clearing.
+    At h = a the terms are poly's values there, cleared in Z by
+    `clear_denominators`.  When a is None they are its Q(h) coefficients,
+    put over one monic denominator by `clear_hrat_denominators`, and every
+    polynomial is then multiplied by the lcm of all their rational
+    coefficients' denominators."""
+    if a is not None:
+        terms = specialize(poly, a).terms
+        den, nums = clear_denominators(terms.values())
+        return den, dict(zip(terms, nums))
+    terms = poly.with_hrat_coeffs().terms
+    den, nums = clear_hrat_denominators(terms.values())
+    big = lcm(*(c.denominator for q in (den, *nums) for c in q.coeffs))
+    den, *nums = [_ZPoly([int(c * big) for c in q.coeffs]) for q in (den, *nums)]
+    return den, dict(zip(terms, nums))
+
+
+def _qh_row(poly: NCPoly, a):
+    """The Q[h] row of poly, a ignored: its Q(h) coefficients over one monic denominator."""
+    terms = poly.with_hrat_coeffs().terms
+    den, nums = clear_hrat_denominators(terms.values())
     return den, dict(zip(terms, nums))
 
 
 # The generic completion ring over Q[h]: rows lead -> (E, row) with E monic
 # and gcd(E, row) = 1 in Q[h], every gcd a Euclidean one in Fractions.  It has
-# the fields of `pbwlab.rewriting.Ring`, so a RewriteSystem built with it in
+# the fields of `pbwlab.scalars.Ring`, so a RewriteSystem built with it in
 # place of the Z[h] ring completes the same system in other arithmetic.
-QhRing = namedtuple("QhRing", "unit split clear to_field row primitive_row inverted")
-QH_RING = QhRing(HPoly.one(), _split_hpoly, clear_hrat_denominators, HRat,
-                 lambda poly, a: ring_row_reference(QH_RING, poly, a),
-                 _primitive_hpoly_row, _inverted_hpoly)
+QhRing = namedtuple("QhRing", "unit split to_field row primitive_row inverted")
+QH_RING = QhRing(HPoly.one(), _split_hpoly, HRat, _qh_row, _primitive_hpoly_row, _inverted_hpoly)
 
 
 def rational_roots_reference(p: HPoly):

@@ -207,9 +207,9 @@ def test_criterion_06_potential_certificates_and_generic_match():
         if cubic and pres.filtration_ok:
             # flatness is established by the certificate just checked, so the
             # single-depth counts are exact as soon as they match
-            rep = hilbert(pres, 4, generic=True, stabilize=False)
-            if rep.dims != [1, 3, 6, 10, 15]:
-                _report(6, False, started, f"generic dims {rep.dims} for {pot}")
+            dims = build_rules(pres, "generic").complete(5).normal_word_counts(4)
+            if dims != [1, 3, 6, 10, 15]:
+                _report(6, False, started, f"generic dims {dims} for {pot}")
             hilbert_runs += 1
     _report(6, True, started,
             f"200 potential certificates passed; {hilbert_runs} generic "

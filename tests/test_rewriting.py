@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 from pathlib import Path
 
@@ -136,11 +137,11 @@ class TestHilbert:
         overlaps: single-depth counts overshoot, stabilized counts are exact.
         Frozen from a randomized cross-validation run."""
         pres = _cascading_presentation()
-        shallow = hilbert(pres, 3, a=Fraction(3), stabilize=False)
-        assert shallow.dims == [1, 3, 6, 9]  # upper bound only
+        shallow = build_rules(pres, "at", Fraction(3)).complete(4).normal_word_counts(3)
+        assert shallow == [1, 3, 6, 9]  # upper bound only
         deep = hilbert(pres, 3, a=Fraction(3))
         assert deep.dims == [1, 1, 0, 0]  # matches the saturated span oracle
-        assert all(hd <= sd for hd, sd in zip(deep.dims, shallow.dims))
+        assert all(hd <= sd for hd, sd in zip(deep.dims, shallow))
 
     def test_stabilization_reports_unknown_at_cap(self, monkeypatch):
         monkeypatch.setattr(rewriting, "MAX_EXTRA_DEPTH", 1)
@@ -763,8 +764,9 @@ def _assert_rows_primitive(system):
     rules = system.rules
     for lead, (scale, row) in system._rows.items():
         tail = rules[lead]
-        den, nums = system.ring.clear(tail.values())
-        assert (scale, row) == (den, list(zip(tail, nums))), lead
+        den, cleared = ring_row_reference(NCPoly.adopt(system.n, tail), system.a)
+        nums = list(cleared.values())
+        assert (scale, row) == (den, list(cleared.items())), lead
         if system.mode == "at":
             assert scale > 0 and gcd(scale, *nums) == 1, lead
         else:
@@ -901,6 +903,38 @@ def test_generic_steps_take_a_gcd_only_when_e_does_not_divide(monkeypatch):
         hilbert(pres, 4, generic=True)
     assert calls["gcd"] == calls["does_not"] > 0
     assert calls["divides"] > calls["does_not"]
+
+
+def test_field_reads_take_one_gcd_per_rational_entry(monkeypatch):
+    """Reading `rules` or `reduce` of a generic system builds each HRat once:
+    `hpoly_gcd` runs at most once per entry whose Z[h] denominator is not a
+    constant, and never for the others.  An HRat wrapped in HRat(...) would be
+    reduced a second time."""
+    calls = [0]
+    hpoly_gcd = scalars.hpoly_gcd
+
+    def counting(a, b):
+        calls[0] += 1
+        return hpoly_gcd(a, b)
+
+    def gcds_of(read):
+        calls[0] = 0
+        read()
+        return calls[0]
+
+    monkeypatch.setattr(scalars, "hpoly_gcd", counting)  # HRat finds it in the scalars globals
+    rational = 0
+    for pres in _hrat_corpus_presentations():
+        system = build_rules(pres, "generic").complete(4)
+        entries = sum(len(row) for scale, row in system._rows.values() if len(scale) > 1)
+        assert gcds_of(lambda: system.rules) <= entries
+        words = product(range(1, pres.n + 1), repeat=3)
+        poly = NCPoly(pres.n, {w: HPoly([1, k]) for k, w in enumerate(words)})
+        den, out = system.reduce_ring(*system.ring.row(poly, None))
+        entries_out = len(out) if len(den) > 1 else 0
+        assert gcds_of(lambda: system.reduce(poly)) <= entries_out
+        rational += entries + entries_out
+    assert rational > 0
 
 
 class TestReduceEdgeCases:
@@ -1096,14 +1130,14 @@ def test_ring_row_matches_two_step_reference(poly, a):
     """`Ring.row` gives the clear of the field terms: the same den, values, value
     types and key order, at h = a in Z and over Q(h) in Z[h]."""
     try:
-        expected = ring_row_reference(rewriting.INTEGERS, poly, a)
+        expected = ring_row_reference(poly, a)
     except ZeroDivisionError:  # an HRat coefficient's denominator vanishes at a
         with pytest.raises(ZeroDivisionError):
             rewriting.INTEGERS.row(poly, a)
     else:
         _assert_same_row(rewriting.INTEGERS.row(poly, a), expected)
     _assert_same_row(rewriting.ZPOLYS.row(poly, None),
-                     ring_row_reference(rewriting.ZPOLYS, poly, None))
+                     ring_row_reference(poly, None))
 
 
 def _member_cases(rng, pres, count):
@@ -1154,7 +1188,7 @@ def test_vanishing_relation_names_its_pair(a):
     h = HPoly.h()
     p = Presentation(3, {(1, 3): NCPoly(3, {(2,): h}),
                          (2, 3): NCPoly(3, {(2, 3): h, (3, 2): -h})})
-    assert not ring_row_reference(rewriting.INTEGERS, p.relation(2, 3), a)[1]
+    assert not ring_row_reference(p.relation(2, 3), a)[1]
     with pytest.raises(BadSpecialization) as caught:
         build_rules(p, "at", a)
     assert caught.value.pair == (2, 3) and caught.value.value == a

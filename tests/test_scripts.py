@@ -46,6 +46,15 @@ def test_survey_quantum_deformations():
             "  <- PBW without certificate") in lines
 
 
+def test_find_poisson_fixture():
+    """The first hit at the default seed is the tensor frozen as the
+    `poisson_not_special` fixture of tests/conftest.py."""
+    lines = run_script("find_poisson_fixture.py", "--wanted", "1")
+    assert lines == ["trial 58: Poisson but not special:",
+                     "  alpha_12^{32} = -1", "  alpha_23^{12} = 1", "  alpha_23^{32} = -1",
+                     "", "1 fixture(s) found in 59 trials"]
+
+
 def test_cli_battery():
     lines = run_script("cli_battery.py")
     assert len(lines) == 1492
