@@ -3,10 +3,10 @@
 Each line is the argv (JSON), the exit code, and the sha256 of stdout and of
 stderr of one `pbwlab.cli.main(argv)` call.  The inputs are the files of
 `benchmarks/corpus`, the presentations of `mixed.json` and the potentials of
-`hrat.json`, plus broken, missing and non-UTF-8 inputs, written to a scratch
-directory that the runs use as their working directory; every path in an
-argv is relative to it, so the lines do not depend on where the repository
-lies.  Run the script once against each of two source trees and `diff` the
+`hrat.json`, the constructor documents of `CONSTRUCTED`, plus broken,
+missing and non-UTF-8 inputs, written to a scratch directory that the runs
+use as their working directory; every path in an argv is relative to it, so
+the lines do not depend on where the repository lies.  Run the script once against each of two source trees and `diff` the
 outputs to see whether any report changed:
 
     PYTHONPATH=src python3 scripts/cli_battery.py > after.txt
@@ -31,6 +31,31 @@ CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 BAD = ["bad/broken.json", "bad/latin1.json", "bad/missing.json", "bad"]
 
 
+def _ctor(kind: str, keys: str, n: int, entries: list) -> dict:
+    field = {"lie": "c", "quadratic": "alpha"}[kind]
+    return {kind: {"n": n, field: [dict(zip(keys, idx), value=v) for *idx, v in entries]}}
+
+
+# Constructor documents written the way a user may write them: entries with
+# i > j (stored swapped and negated), two entries that cancel to zero, and,
+# in the *_diagonal files, an i == j entry, which is refused.
+CONSTRUCTED = {
+    "lie_swapped.json": _ctor("lie", "ijk", 3, [
+        (2, 1, 3, "-1"), (3, 1, 1, "2"), (2, 3, 2, "2"), (3, 2, 1, "1/3"),
+        (1, 3, 3, "5"), (3, 1, 3, "5")]),
+    "lie_diagonal.json": _ctor("lie", "ijk", 3, [(2, 1, 3, "1"), (2, 2, 1, "1")]),
+    "quadratic_swapped.json": _ctor("quadratic", "ijab", 3, [
+        (2, 1, 1, 2, "-3"), (1, 3, 1, 3, "-1/2"), (3, 2, 2, 3, "-1"),
+        (1, 2, 3, 3, "1/2"), (2, 1, 3, 3, "1/2")]),
+    "quadratic_diagonal.json": _ctor("quadratic", "ijab", 3, [(1, 2, 1, 2, "1"),
+                                                              (3, 3, 1, 2, "1")]),
+    "phi_swapped.json": {"n": 3, "phi": [
+        {"i": 2, "j": 1, "terms": [{"word": [2, 1], "coeff": ["0", "1"]}]},
+        {"i": 1, "j": 3, "terms": [{"word": [1, 3], "coeff": ["0", "1"]}]},
+        {"i": 3, "j": 2, "terms": [{"word": [3, 2], "coeff": ["0", "1"]}]}]},
+}
+
+
 def write_inputs() -> tuple:
     """Write every input into the working directory: the --input paths, in
     order, and those whose generic completion does not end."""
@@ -52,6 +77,10 @@ def write_inputs() -> tuple:
     os.makedirs("bad")
     Path("bad/broken.json").write_text('{"n": 3, "phi": [')
     Path("bad/latin1.json").write_bytes('{"n": 3, "phi": [], "note": "é"}'.encode("latin-1"))
+    os.makedirs("ctor")
+    for name, doc in CONSTRUCTED.items():
+        Path("ctor", name).write_text(json.dumps(doc))
+        inputs.append(f"ctor/{name}")
     return inputs + BAD, no_generic
 
 

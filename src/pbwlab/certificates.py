@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from .freealg import NCPoly, hbar_coefficient
 from .koszul import (Differential, KoszulPoly, Triple, custom_entries,
-                     d1_from_presentation, d2_default, d2_view, default_entries, lie_entries,
-                     quadratic_entries, residues, triples)
+                     d1_from_presentation, d2_default, d2_view, residues, tail_entries, triples)
 from .presentations import (LieData, Presentation, QuadData, check_tails, lie_data_of,
                             quad_data_of)
 from .scalars import HPoly, HRat
@@ -52,16 +51,16 @@ def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple
     if not all(c.divisible_by_h() for tail in p.phi.values() for c in tail.terms.values()):
         raise NotDeformation("; ".join(check_tails(p)[2]))
     if d2_choice == "default":
-        return default_entries(p.n)
+        return tail_entries(p.n, {})
     if d2_choice == "lie":
         if lie is None:
             raise PathMismatch("relation tails are not h * linear; the lie differential does not apply")
-        return lie_entries(lie)
+        return tail_entries(lie.n, lie.c)
     if d2_choice == "quadratic":
         data = quad_data_of(p)
         if data is None:
             raise PathMismatch("relation tails are not h * quadratic; the quadratic differential does not apply")
-        return quadratic_entries(data)
+        return tail_entries(data.n, data.alpha)
     if d2_choice == "custom":
         if custom_d2 is None:
             raise PathMismatch("custom differential requested but none supplied")
@@ -69,11 +68,8 @@ def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple
         if missing:
             raise PathMismatch(f"custom differential misses triples {missing}")
         for tri, value in custom_d2.items():
-            if value and value.degree() != -1:
+            if value and value.degree() != -1:  # so each word carries one xi2 and no xi3
                 raise PathMismatch(f"custom value for {tri} is not of degree -1")
-            for word in value.terms:
-                if sum(1 for sym in word if sym[0] == "xi2") != 1 or any(sym[0] == "xi3" for sym in word):
-                    raise PathMismatch(f"custom value for {tri} must carry exactly one xi symbol per word")
         for tri, default in d2_default(p.n).items():  # h = 0 must give the Koszul d2
             if any(not HRat(c).num.divisible_by_h() for c in (custom_d2[tri] - default).terms.values()):
                 raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")

@@ -8,10 +8,11 @@ d1 . d2 = 0 consumes.
 The check runs on Z[h], in the `scalars.ZPOLYS` ring.  `d1_rows` reads every
 d1(xi_pq) from the ring row of the tails, over one integer denominator.  A
 d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v and
-a Z[h] numerator c over the triple's denominator.  The default, Lie and
-quadratic entries are built from their formulas; a custom d2 enters through
-`ZPOLYS.row`.  `residues` sums every c * u d1(xi_pq) v of a triple in one dict
-and turns only its nonzero words into field values with `scalars._zpoly_to_field`.
+a Z[h] numerator c over the triple's denominator.  `tail_entries` builds the
+default, Lie and quadratic entries from one formula over the tail tensor; a
+custom d2 enters through `ZPOLYS.row`.  `residues` sums every c * u d1(xi_pq) v
+of a triple in one dict and turns only its nonzero words into field values with
+`scalars._zpoly_to_field`.
 
 `HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
 `d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
@@ -178,61 +179,33 @@ def _default_entries(n: int):
     return tuple(out)
 
 
-def _signed_table(n: int, values: dict) -> tuple:
-    """(L, {(i, j): [(rest, num)]}) for values {(i, j, *rest): q} read with i < j:
-    each pair in both orders, the swapped one negated, rests ascending, q = num / L.
-    Keys that the signed accessors of `LieData`/`QuadData` never read are left out."""
+def tail_entries(n: int, values: dict) -> dict:
+    """Entries of the d2 of the tail tensor values {(t, u, *w): q}, phi_tu = h sum q w
+    for t < u: the Lie c (one-letter w) or the quadratic alpha (two letters).  Per
+    triple, sum [x_s, xi_tu] plus h q w, with one letter b of w turned into xi_sb,
+    at each cyclic slot (s, t, u), over the one denominator of the values; for a
+    linear tail this is the Chevalley-Eilenberg correction -h sum_p c_st^p xi_pu
+    with the slots relabelled.  Keys that the signed accessors of `LieData`/`QuadData`
+    never read are left out; {} gives the unperturbed entries, none for n < 3."""
     items = [(key, q) for key, q in sorted(values.items())
-             if q and 1 <= key[0] < key[1] <= n and all(1 <= r <= n for r in key[2:])]
+             if q and 1 <= key[0] < key[1] <= n and all(1 <= b <= n for b in key[2:])]
     den, nums = clear_denominators(q for _, q in items)
     table: Dict[Pair, list] = {}
-    for ((i, j, *rest), _), num in zip(items, nums):
-        table.setdefault((i, j), []).append((rest, num))
-        table.setdefault((j, i), []).append((rest, -num))
-    return den, table
-
-
-def _with_corrections(n: int, den: int, correction) -> dict:
-    """Default entries scaled to the denominator den, then correction(s, t, u) per slot."""
+    for ((t, u, *w), _), num in zip(items, nums):
+        table.setdefault((t, u), []).append((tuple(w), num))
+        table.setdefault((u, t), []).append((tuple(w), -num))
     scale = _ZPoly((den,))
     out = {}
     for tri, default in _default_entries(n):
         entries = list(default) if den == 1 else [(u, pq, v, c * scale) for u, pq, v, c in default]
-        for slot in _slots(tri):
-            entries += correction(*slot)
+        for s, t, u in _slots(tri):
+            for w, num in table.get((t, u), ()):
+                for pos, b in enumerate(w):
+                    sign, sym = xi2(s, b)
+                    if sign:
+                        entries.append((w[:pos], sym[1:], w[pos + 1:], _ZPoly((0, sign * num))))
         out[tri] = (scale, entries)
     return out
-
-
-def default_entries(n: int) -> dict:
-    """Unperturbed values [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; empty for n < 3."""
-    return _with_corrections(n, 1, lambda s, t, u: [])
-
-
-def lie_entries(data: LieData) -> dict:
-    """Default values plus the Chevalley-Eilenberg correction -h sum_p c_st^p xi_pu."""
-    den, c = _signed_table(data.n, data.c)
-
-    def correction(s, t, u):
-        signed = ((xi2(p, u), num) for (p,), num in c.get((s, t), ()))
-        return [((), sym[1:], (), _ZPoly((0, -sign * num))) for (sign, sym), num in signed if sign]
-
-    return _with_corrections(data.n, den, correction)
-
-
-def quadratic_entries(data: QuadData) -> dict:
-    """Default values plus h sum alpha_tu^{ab} (xi_sa x_b + x_a xi_sb), cyclically."""
-    den, alpha = _signed_table(data.n, data.alpha)
-
-    def correction(s, t, u):
-        out = []
-        for (a, b), num in alpha.get((t, u), ()):
-            for left, (sign, sym), right in (((), xi2(s, a), (b,)), ((a,), xi2(s, b), ())):
-                if sign:
-                    out.append((left, sym[1:], right, _ZPoly((0, sign * num))))
-        return out
-
-    return _with_corrections(data.n, den, correction)
 
 
 def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
@@ -261,18 +234,19 @@ def d2_view(n: int, d2: dict) -> Dict[Triple, KoszulPoly]:
 
 
 def d2_default(n: int) -> Dict[Triple, KoszulPoly]:
-    """The view of `default_entries`, fresh values on each call."""
-    return d2_view(n, default_entries(n))
+    """The unperturbed d2, [x_i, xi_jk] + [x_j, xi_ki] + [x_k, xi_ij]; fresh values
+    on each call."""
+    return d2_view(n, tail_entries(n, {}))
 
 
 def d2_lie(data: LieData) -> Dict[Triple, KoszulPoly]:
-    """The view of `lie_entries`."""
-    return d2_view(data.n, lie_entries(data))
+    """The view of `tail_entries` of the structure constants."""
+    return d2_view(data.n, tail_entries(data.n, data.c))
 
 
 def d2_quadratic(data: QuadData) -> Dict[Triple, KoszulPoly]:
-    """The view of `quadratic_entries`."""
-    return d2_view(data.n, quadratic_entries(data))
+    """The view of `tail_entries` of the quadratic tensor."""
+    return d2_view(data.n, tail_entries(data.n, data.alpha))
 
 
 def d1_rows(p: Presentation) -> tuple:

@@ -19,6 +19,15 @@ from .scalars import HPoly
 Pair = Tuple[int, int]
 
 
+def _signed(table: dict, i: int, j: int, rest: tuple, zero):
+    """T_ij[rest] of a table stored for i < j only: T_ji = -T_ij, T_ii = 0."""
+    if i == j:
+        return zero
+    if i < j:
+        return table.get((i, j, *rest), zero)
+    return -table.get((j, i, *rest), zero)
+
+
 class Presentation:
     """Generator count n plus the family of relation tails phi_ij (i < j)."""
 
@@ -46,12 +55,7 @@ class Presentation:
         for idx in (i, j):
             if not 1 <= idx <= self.n:
                 raise BadIndex(f"index {idx} outside 1..{self.n}")
-        if i == j:
-            return NCPoly.zero(self.n)
-        if i < j:
-            return self.phi.get((i, j), NCPoly.zero(self.n))
-        stored = self.phi.get((j, i))
-        return -stored if stored is not None else NCPoly.zero(self.n)
+        return _signed(self.phi, i, j, (), NCPoly.zero(self.n))
 
     def pairs(self):
         return [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
@@ -78,11 +82,7 @@ class LieData:
     c: Dict[Tuple[int, int, int], Fraction] = field(default_factory=dict)
 
     def c_at(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.c.get((i, j, k), Fraction(0))
-        return -self.c.get((j, i, k), Fraction(0))
+        return _signed(self.c, i, j, (k,), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -93,66 +93,55 @@ class QuadData:
     alpha: Dict[Tuple[int, int, int, int], Fraction] = field(default_factory=dict)
 
     def alpha_at(self, i: int, j: int, a: int, b: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.alpha.get((i, j, a, b), Fraction(0))
-        return -self.alpha.get((j, i, a, b), Fraction(0))
+        return _signed(self.alpha, i, j, (a, b), Fraction(0))
+
+
+def _from_tensor(n: int, values: dict, name: str) -> Presentation:
+    """phi_ij = h * sum_w T_ij^w x_w for the tensor values {(i, j, *w): T_ij^w}."""
+    phi: Dict[Pair, NCPoly] = {}
+    h = HPoly.h()
+    for (i, j, *w), value in values.items():
+        if not (1 <= i < j <= n and all(1 <= b <= n for b in w)):
+            raise BadIndex(f"bad {name} index {(i, j, *w)}")
+        if value:
+            phi[(i, j)] = phi.get((i, j), NCPoly.zero(n)) + NCPoly(n, {tuple(w): h * value})
+    return Presentation(n, phi)
 
 
 def from_lie(data: LieData) -> Presentation:
     """phi_ij = h * sum_k c_ijk x_k.  The Jacobi identity is not required."""
-    phi: Dict[Pair, NCPoly] = {}
-    h = HPoly.h()
-    for (i, j, k), value in data.c.items():
-        if not (1 <= i < j <= data.n and 1 <= k <= data.n):
-            raise BadIndex(f"bad structure constant index {(i, j, k)}")
-        if not value:
-            continue
-        term = NCPoly(data.n, {(k,): h * value})
-        phi[(i, j)] = phi.get((i, j), NCPoly.zero(data.n)) + term
-    return Presentation(data.n, phi)
+    return _from_tensor(data.n, data.c, "structure constant")
 
 
 def from_quadratic(data: QuadData) -> Presentation:
     """phi_ij = h * sum_{a,b} alpha_ij^{ab} x_a x_b."""
-    phi: Dict[Pair, NCPoly] = {}
-    h = HPoly.h()
-    for (i, j, a, b), value in data.alpha.items():
-        ok = 1 <= i < j <= data.n and 1 <= a <= data.n and 1 <= b <= data.n
-        if not ok:
-            raise BadIndex(f"bad quadratic tensor index {(i, j, a, b)}")
-        if not value:
-            continue
-        term = NCPoly(data.n, {(a, b): h * value})
-        phi[(i, j)] = phi.get((i, j), NCPoly.zero(data.n)) + term
-    return Presentation(data.n, phi)
+    return _from_tensor(data.n, data.alpha, "quadratic tensor")
 
 
-def lie_data_of(p: Presentation) -> LieData | None:
-    """Read structure constants back from p, or None if some phi is not h * linear."""
-    c: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j), poly in p.phi.items():
-        if poly.deg_x() > 1 or hbar_degree(poly) > 1:
-            return None
-        for word, coeff in poly.terms.items():
-            if len(word) != 1 or not coeff.divisible_by_h():
-                return None
-            c[(i, j, word[0])] = coeff.coeff(1)
-    return LieData(p.n, c)
-
-
-def quad_data_of(p: Presentation) -> QuadData | None:
-    """Read the quadratic tensor back from p, or None if some phi is not h * quadratic."""
-    alpha: Dict[Tuple[int, int, int, int], Fraction] = {}
+def _tensor_of(p: Presentation, length: int) -> dict | None:
+    """{(i, j, *w): T_ij^w} with phi_ij = h * sum_w T_ij^w x_w over words w of the
+    given length, or None if some phi is not of that form."""
+    values: Dict[tuple, Fraction] = {}
     for (i, j), poly in p.phi.items():
         if hbar_degree(poly) > 1:
             return None
         for word, coeff in poly.terms.items():
-            if len(word) != 2 or not coeff.divisible_by_h():
+            if len(word) != length or not coeff.divisible_by_h():
                 return None
-            alpha[(i, j, word[0], word[1])] = coeff.coeff(1)
-    return QuadData(p.n, alpha)
+            values[(i, j, *word)] = coeff.coeff(1)
+    return values
+
+
+def lie_data_of(p: Presentation) -> LieData | None:
+    """Read structure constants back from p, or None if some phi is not h * linear."""
+    c = _tensor_of(p, 1)
+    return None if c is None else LieData(p.n, c)
+
+
+def quad_data_of(p: Presentation) -> QuadData | None:
+    """Read the quadratic tensor back from p, or None if some phi is not h * quadratic."""
+    alpha = _tensor_of(p, 2)
+    return None if alpha is None else QuadData(p.n, alpha)
 
 
 @dataclass

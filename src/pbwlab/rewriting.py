@@ -437,6 +437,12 @@ def hilbert(p: Presentation, K: int, a: Optional[Fraction] = None,
     as unknown rather than guessed.  The counts at a single depth,
     `build_rules(p, mode, a).complete(K + 1).normal_word_counts(K)`, are
     always upper bounds for the true dimensions.
+
+    Agreement at two consecutive depths is a heuristic, not a proof: a deeper
+    overlap can still lower the counts, so a stabilized `match` is not proved
+    (n = 3, h = 5, phi_12 = h^2 x3 x1, phi_13 = -h, phi_23 = -h^2 - h x2 x2
+    matches (1, 3, 6) at K = 2, and has dims 0 at K = 3).  Only a `defect` with
+    a count below C(n+k-1, k) is proved.
     """
     if K < 1:
         raise InputError("degree bound must be at least 1")

@@ -104,6 +104,10 @@ class TestCertify:
         with pytest.raises(PathMismatch):
             certify(from_lie(sl2), "custom", custom_d2={})
 
+    def test_custom_d2_must_be_supplied(self, sl2):
+        with pytest.raises(PathMismatch, match="custom differential requested but none supplied"):
+            certify(from_lie(sl2), "custom")
+
     def test_custom_d2_must_reduce_to_koszul_at_h0(self, non_jacobi):
         """The cycle xi12 r - r xi12, r = d1(xi12) = x1x2 - x2x1 - h x1, has
         d1 . d2 = 0 but is not the Koszul d2 at h = 0, so it proves nothing:

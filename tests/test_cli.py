@@ -142,6 +142,19 @@ class TestTorsion:
         assert code == 1
         assert "refuted" in out
 
+    def test_element_in_ideal_refuted(self, capsys, sl2_file, tmp_path):
+        """T = x1x2 - x2x1 - h x3 is the sl2 relation itself: no specialization
+        separates T from the ideal, and T is a Q[h]-combination of the relations."""
+        elem = tmp_path / "relation.json"
+        elem.write_text(json.dumps([{"word": [1, 2], "coeff": ["1"]},
+                                    {"word": [2, 1], "coeff": ["-1"]},
+                                    {"word": [3], "coeff": ["0", "-1"]}]))
+        code, out, _ = run_cli(capsys, "torsion", "--input", sl2_file,
+                               "--element", str(elem), "--factor", "1-h",
+                               "--degree", "4")
+        assert code == 1
+        assert "refuted" in out and "T itself lies in the ideal over Q[h]" in out
+
     @pytest.mark.parametrize("factor", ["1/0", "3/0*h"])
     def test_zero_denominator_factor_is_input_error(self, capsys, strange_file, tmp_path,
                                                     factor):
@@ -347,8 +360,13 @@ class TestMalformedInput:
                                            "coeff": ["1"]}]}],
          "bad x index [7]"),
         ([{"triple": [1, 2, 7], "value": []}], "bad triple [1, 2, 7]"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]}]}],
+         "custom value for (1, 2, 3) is not of degree -1"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]},
+                                          {"word": [{"xi2": [1, 2]}], "coeff": ["1"]}]}],
+         "mixed cohomological degrees [-1, 0]"),
     ], ids=["no-triple", "no-word", "short-xi2", "xi2-out-of-range", "x-out-of-range",
-            "triple-out-of-range"])
+            "triple-out-of-range", "degree-zero-value", "mixed-degree-value"])
     def test_custom_differential(self, capsys, sl2_file, tmp_path, d2_doc, message):
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps(d2_doc))

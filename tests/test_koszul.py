@@ -14,7 +14,7 @@ from pbwlab.freealg import NCPoly, commutator
 from pbwlab.certificates import build_differential
 from pbwlab.koszul import (Differential, KoszulPoly, apply_d, d1_from_presentation,
                            d2_default, d2_lie, d2_quadratic, kterm, triples,
-                           xi2, xi3, xi3_generator)
+                           word_degree, xi2, xi3, xi3_generator)
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic)
 from pbwlab.scalars import HPoly
@@ -45,6 +45,15 @@ class TestSymbols:
             ordered = tuple(sorted(tri))
             even = {ordered[r:] + ordered[:r] for r in range(3)}
             assert xi3(*tri) == (1 if tri in even else -1, ("xi3", *ordered))
+
+    @given(st.lists(st.sampled_from([("x", 1), ("x", 2), ("xi2", 1, 2), ("xi3", 1, 2, 3)]),
+                    max_size=6))
+    def test_degree_minus_one_is_one_xi2_and_no_xi3(self, word):
+        """x has degree 0, xi2 -1 and xi3 -2, so a word has degree -1 exactly when it
+        carries one xi2 symbol and no xi3: a custom d2 value of degree -1 needs no
+        separate count of its xi symbols."""
+        kinds = [sym[0] for sym in word]
+        assert (word_degree(tuple(word)) == -1) == (kinds.count("xi2") == 1 and "xi3" not in kinds)
 
     def test_kterm_kills_repeats(self):
         assert not kterm(3, [("xi2", 2, 2)])

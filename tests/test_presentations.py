@@ -125,3 +125,75 @@ class TestValidate:
         report = validate(p)
         assert report.valid and not report.filtration_ok
         assert any("FiltrationUnbounded" in msg for msg in report.problems)
+
+
+@pytest.mark.parametrize("build, data, text", [
+    (from_lie, LieData(3, {(2, 1, 3): Fraction(1)}), "bad structure constant index (2, 1, 3)"),
+    (from_lie, LieData(3, {(1, 1, 3): Fraction(1)}), "bad structure constant index (1, 1, 3)"),
+    (from_lie, LieData(3, {(1, 2, 4): Fraction(0)}), "bad structure constant index (1, 2, 4)"),
+    (from_quadratic, QuadData(3, {(1, 4, 1, 1): Fraction(1)}),
+     "bad quadratic tensor index (1, 4, 1, 1)"),
+    (from_quadratic, QuadData(3, {(1, 2, 0, 1): Fraction(0)}),
+     "bad quadratic tensor index (1, 2, 0, 1)"),
+], ids=["lie-swapped", "lie-diagonal", "lie-zero-out-of-range", "quad-pair", "quad-zero-word"])
+def test_constructor_rejects_out_of_range_keys(build, data, text):
+    """Keys are checked before zero values are skipped; each constructor keeps its text."""
+    with pytest.raises(BadIndex) as err:
+        build(data)
+    assert str(err.value) == text
+
+
+def test_constructors_skip_zero_values():
+    h = HPoly.h()
+    lie = LieData(3, {(1, 2, 3): Fraction(0), (1, 3, 2): Fraction(1), (1, 3, 1): Fraction(0)})
+    assert from_lie(lie).phi == {(1, 3): NCPoly(3, {(2,): h})}
+    quad = QuadData(3, {(1, 2, 1, 2): Fraction(0), (2, 3, 3, 1): Fraction(-2)})
+    assert from_quadratic(quad).phi == {(2, 3): NCPoly(3, {(3, 1): h * -2})}
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(sts.lie_datas(n), sts.quad_datas(n))))
+def test_signed_reads_are_antisymmetric(datas):
+    lie, quad = datas
+    n, p, q = lie.n, from_lie(lie), from_quadratic(quad)
+    rng = range(1, n + 1)
+    for i in rng:
+        for j in rng:
+            assert p.phi_at(j, i) == -p.phi_at(i, j)
+            assert q.phi_at(j, i) == -q.phi_at(i, j)
+            for a in rng:
+                assert lie.c_at(j, i, a) == -lie.c_at(i, j, a)
+                for b in rng:
+                    assert quad.alpha_at(j, i, a, b) == -quad.alpha_at(i, j, a, b)
+        assert not p.phi_at(i, i) and not q.phi_at(i, i)
+
+
+def test_signed_reads_ignore_diagonal_and_swapped_keys():
+    """Only keys with i < j are read: a stored (i, i, ...) or (j, i, ...) key reads as 0
+    at its own position, and a swapped key does not stand in for the stored one."""
+    lie = LieData(3, {(2, 2, 1): Fraction(5), (2, 1, 3): Fraction(1)})
+    assert lie.c_at(2, 2, 1) == 0
+    assert lie.c_at(2, 1, 3) == 0 and lie.c_at(1, 2, 3) == 0
+    quad = QuadData(3, {(3, 3, 1, 2): Fraction(5), (3, 1, 1, 1): Fraction(1)})
+    assert quad.alpha_at(3, 3, 1, 2) == 0
+    assert quad.alpha_at(3, 1, 1, 1) == 0 and quad.alpha_at(1, 3, 1, 1) == 0
+    assert isinstance(lie.c_at(1, 1, 1), Fraction)
+    assert isinstance(quad.alpha_at(1, 1, 1, 1), Fraction)
+
+
+@pytest.mark.parametrize("tail, lie, quad", [
+    ({(3,): HPoly.h(2)}, False, False),
+    ({(1, 2): HPoly.h(2)}, False, False),
+    ({(3,): HPoly([0, 1, 1])}, False, False),
+    ({(3,): HPoly.h()}, True, False),
+    ({(1, 2): HPoly.h()}, False, True),
+    ({(): HPoly.h()}, False, False),
+    ({(1, 2, 3): HPoly.h()}, False, False),
+    ({(3,): HPoly.one()}, False, False),
+    ({(3,): HPoly.h(), (1, 2): HPoly.h()}, False, False),
+], ids=["h2-linear", "h2-quadratic", "h-plus-h2", "h-linear", "h-quadratic", "constant-word",
+        "cubic-word", "not-divisible", "mixed-lengths"])
+def test_tensor_readers_refuse_other_tails(tail, lie, quad):
+    p = Presentation(3, {(1, 2): NCPoly(3, tail)})
+    assert (lie_data_of(p) is not None) == lie
+    assert (quad_data_of(p) is not None) == quad

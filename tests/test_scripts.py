@@ -57,7 +57,7 @@ def test_find_poisson_fixture():
 
 def test_cli_battery():
     lines = run_script("cli_battery.py")
-    assert len(lines) == 1492
+    assert len(lines) == 1722
     fields = [line.split("\t") for line in lines]
     assert all(len(f) == 4 and len(f[2]) == len(f[3]) == 64 for f in fields)
     assert len({f[0] for f in fields}) == len(fields)  # every argv once
