@@ -1,4 +1,4 @@
-"""Compare the `hilbert` reports and CPU times of two pbwlab source trees.
+"""Compare the `hilbert` and `torsion_check` answers and CPU times of two pbwlab trees.
 
     python3 scripts/ab_fixtures.py OLD_SRC NEW_SRC [--repeats N]
 
@@ -10,12 +10,16 @@ cascading presentation at h = 1/2 and h = 1 and the `mixed.json`
 presentations at their points, with `hilbert` at h = a to K = 3, and the
 generic `hilbert` questions that the benchmark asks of the corpus: sl2,
 heisenberg and quantum3 to K = 5, strange and the `hrat.json` potentials to
-K = 4.  For each fixture the script first asserts that both trees report the same `dims`, `excluded` and
-`complete_through`, then takes the best of N thread-CPU timings per tree,
-alternating which tree runs first, and prints one line per fixture with both
-times and the ratio new / old, then the totals of the h = a and the generic
-fixtures.  In-process CPU timings interleaved this way are steadier on a
-noisy machine than paired benchmark runs, but they time `hilbert` alone.
+K = 4; and the benchmark's five torsion probes, whose Q[h] membership is
+`module_membership`: strange with T at the factors 1 - h (degrees 5 and 6),
+h and 2, and sl2 with x1 at 1 - h.  For each fixture the script first asserts
+that both trees give the same answer (`dims`, `excluded` and
+`complete_through` of a Hilbert report, a torsion `status`), then takes the
+best of N thread-CPU timings per tree, alternating which tree runs first, and
+prints one line per fixture with both times and the ratio new / old, then the
+totals of the h = a, the generic and the torsion fixtures.  In-process CPU
+timings interleaved this way are steadier on a noisy machine than paired
+benchmark runs, but they time these two calls alone.
 """
 
 import argparse
@@ -31,6 +35,12 @@ from pathlib import Path
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 AT_DEGREE, GENERIC_DEGREE = 3, 4
 GENERIC_CORPUS = [("sl2", 5), ("heisenberg", 5), ("quantum3", 5), ("strange", 4)]
+# (label, presentation, element file, factor, degree), as the oracle workload asks them
+TORSION_PROBES = [("witness-d5", "strange", "T.json", "1-h", 5),
+                  ("witness-d6", "strange", "T.json", "1-h", 6),
+                  ("unknown-h", "strange", "T.json", "h", 5),
+                  ("refuted-const", "strange", "T.json", "2", 5),
+                  ("refuted-sl2", "sl2", "x1.json", "1-h", 5)]
 
 
 def load_package(src: str, name: str, into: Path):
@@ -42,28 +52,44 @@ def load_package(src: str, name: str, into: Path):
     return importlib.import_module(name)
 
 
+def corpus(name: str):
+    return json.loads((CORPUS / name).read_text())
+
+
 def fixtures() -> list:
-    """(label, presentation document, h value or None for generic, K)."""
-    cascading = json.loads((CORPUS / "cascading.json").read_text())
-    out = [(f"cascading@{a}", cascading, Fraction(a), AT_DEGREE) for a in ("1/2", "1")]
-    for entry in json.loads((CORPUS / "mixed.json").read_text()):
-        out.append((f"{entry['name']}@{entry['at']}", entry["presentation"],
-                    Fraction(entry["at"]), AT_DEGREE))
+    """(label, total it counts in, runner, the runner's inputs after the package)."""
+    out = [(f"cascading@{a}", "h = a", hilbert_runner, (corpus("cascading.json"), Fraction(a),
+                                                        AT_DEGREE)) for a in ("1/2", "1")]
+    for entry in corpus("mixed.json"):
+        out.append((f"{entry['name']}@{entry['at']}", "h = a", hilbert_runner,
+                    (entry["presentation"], Fraction(entry["at"]), AT_DEGREE)))
     for name, degree in GENERIC_CORPUS:
-        doc = json.loads((CORPUS / f"{name}.json").read_text())
-        out.append((f"{name} generic", doc, None, degree))
-    for entry in json.loads((CORPUS / "hrat.json").read_text()):
-        out.append((f"{entry['name']} generic", {"potential": entry["potential"]}, None,
-                    GENERIC_DEGREE))
+        out.append((f"{name} generic", "generic", hilbert_runner,
+                    (corpus(f"{name}.json"), None, degree)))
+    for entry in corpus("hrat.json"):
+        out.append((f"{entry['name']} generic", "generic", hilbert_runner,
+                    ({"potential": entry["potential"]}, None, GENERIC_DEGREE)))
+    for label, name, element, factor, degree in TORSION_PROBES:
+        out.append((f"torsion:{label}", "torsion", torsion_runner,
+                    (corpus(f"{name}.json"), corpus(element), factor, degree)))
     return out
 
 
-def runner(pkg, doc, a, degree):
-    """A call of pkg's hilbert on doc, parsed by pkg's own reader."""
+def hilbert_runner(pkg, doc, a, degree):
+    """A call of pkg's hilbert on doc, parsed by pkg's own reader, and the part
+    of its report that both trees must agree on."""
     pres = pkg.jsonio.presentation_from_json(doc)
-    if a is None:
-        return lambda: pkg.rewriting.hilbert(pres, degree, generic=True)
-    return lambda: pkg.rewriting.hilbert(pres, degree, a)
+    return (lambda: pkg.rewriting.hilbert(pres, degree, a, generic=a is None),
+            lambda r: (r.dims, r.excluded, r.complete_through))
+
+
+def torsion_runner(pkg, doc, terms, factor, degree):
+    """A call of pkg's torsion_check on doc, the element with those terms and
+    the factor string, all parsed by pkg's own readers, and its status."""
+    pres = pkg.jsonio.presentation_from_json(doc)
+    element = pkg.jsonio.ncpoly_from_json(terms, pres.n)
+    factor = pkg.jsonio.parse_hpoly_string(factor)
+    return lambda: pkg.rewriting.torsion_check(pres, element, factor, degree), lambda r: r.status
 
 
 def cpu_s(run) -> float:
@@ -87,21 +113,20 @@ def main(argv=None) -> int:
             new = load_package(args.new_src, "pbwlab_new", Path(tmp))
         finally:
             sys.path.remove(tmp)
-        totals = {"h = a": [0.0, 0.0], "generic": [0.0, 0.0]}
+        totals = {"h = a": [0.0, 0.0], "generic": [0.0, 0.0], "torsion": [0.0, 0.0]}
         print(f"{'fixture':<22} {'old_ms':>9} {'new_ms':>9} {'new/old':>8}")
-        for label, doc, a, degree in fixtures():
-            runs = [runner(old, doc, a, degree), runner(new, doc, a, degree)]
-            reports = [run() for run in runs]
-            seen = [(r.dims, r.excluded, r.complete_through) for r in reports]
+        for label, group, runner, inputs in fixtures():
+            (run_old, answer), (run_new, _) = runner(old, *inputs), runner(new, *inputs)
+            runs = [run_old, run_new]
+            seen = [answer(run()) for run in runs]
             if seen[0] != seen[1]:
                 sys.exit(f"{label}: the reports differ: old {seen[0]}, new {seen[1]}")
             best = [float("inf"), float("inf")]
             for rep in range(args.repeats):  # alternate which tree runs first
                 for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
                     best[side] = min(best[side], cpu_s(runs[side]))
-            group = totals["generic" if a is None else "h = a"]
-            group[0] += best[0]
-            group[1] += best[1]
+            totals[group][0] += best[0]
+            totals[group][1] += best[1]
             print(f"{label:<22} {best[0] * 1e3:>9.2f} {best[1] * 1e3:>9.2f} "
                   f"{best[1] / best[0]:>8.3f}")
         for group, (t_old, t_new) in totals.items():

@@ -3,8 +3,9 @@
 Each line is the argv (JSON), the exit code, and the sha256 of stdout and of
 stderr of one `pbwlab.cli.main(argv)` call.  The inputs are the files of
 `benchmarks/corpus`, the presentations of `mixed.json` and the potentials of
-`hrat.json`, the constructor documents of `CONSTRUCTED`, plus broken,
-missing and non-UTF-8 inputs, written to a scratch directory that the runs
+`hrat.json`, the constructor documents of `CONSTRUCTED`, the custom
+differentials of `CUSTOM_D2`, plus broken, missing and non-UTF-8 inputs,
+written to a scratch directory that the runs
 use as their working directory; every path in an argv is relative to it, so
 the lines do not depend on where the repository lies.  Run the script once against each of two source trees and `diff` the
 outputs to see whether any report changed:
@@ -56,6 +57,32 @@ CONSTRUCTED = {
 }
 
 
+def _koszul_value() -> list:
+    """The terms of the Koszul d2(xi_123), [x_1, xi_23] + [x_2, xi_31] + [x_3, xi_12]."""
+    value = []
+    for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        sign, pq = (1, [t, u]) if t < u else (-1, [u, t])
+        value += [{"word": [{"x": s}, {"xi2": pq}], "coeff": [str(sign)]},
+                  {"word": [{"xi2": pq}, {"x": s}], "coeff": [str(-sign)]}]
+    return value
+
+
+# Custom d2 documents for sl2 whose triples are not one canonical entry each:
+# an unordered triple (summed into (1, 2, 3) with its permutation sign), a
+# triple with a repeated index (refused), and (1, 2, 3) given twice (summed).
+CUSTOM_D2 = {
+    "unordered.json": [
+        {"triple": [1, 2, 3], "value": _koszul_value()},
+        {"triple": [3, 2, 1], "value": [{"word": [{"x": 1}, {"xi2": [2, 3]}], "coeff": ["7"]}]}],
+    "repeated_index.json": [
+        {"triple": [1, 2, 3], "value": _koszul_value()},
+        {"triple": [1, 1, 2], "value": [{"word": [{"xi2": [1, 2]}], "coeff": ["1"]}]}],
+    "duplicate.json": [
+        {"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]}]},
+        {"triple": [1, 2, 3], "value": _koszul_value()}],
+}
+
+
 def write_inputs() -> tuple:
     """Write every input into the working directory: the --input paths, in
     order, and those whose generic completion does not end."""
@@ -81,6 +108,9 @@ def write_inputs() -> tuple:
     for name, doc in CONSTRUCTED.items():
         Path("ctor", name).write_text(json.dumps(doc))
         inputs.append(f"ctor/{name}")
+    os.makedirs("d2")
+    for name, doc in CUSTOM_D2.items():
+        Path("d2", name).write_text(json.dumps(doc))
     return inputs + BAD, no_generic
 
 
@@ -107,6 +137,9 @@ def battery(inputs: list, no_generic: set) -> list:
         runs += [["certify", *sl2, "--d2", "custom", "--d2-file", bad],
                  ["member", *sl2, "--poly", bad, "--degree", "4", "--at", "1"],
                  ["torsion", *sl2, "--element", bad, "--factor", "1-h", "--degree", "4"]]
+    for name in CUSTOM_D2:
+        runs += [["certify", *sl2, "--d2", "custom", "--d2-file", f"d2/{name}", "--format", fmt]
+                 for fmt in ("text", "json")]
     runs += [["certify", *sl2, "--d2", "custom"],
              ["hilbert", *sl2, "--degree", "3", "--at", "1/0"],
              ["member", *sl2, "--poly", "corpus/T.json", "--degree", "4", "--at", "x"],

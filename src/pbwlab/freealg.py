@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Tuple
 
 from .errors import AmbientMismatch, BadIndex, UndefinedDegree
-from .scalars import HPoly, HRat, format_hpoly, format_rational
+from .scalars import HPoly, HRat, format_hpoly, format_rational, join_signed
 
 Word = Tuple[int, ...]
 
@@ -239,10 +239,7 @@ def format_ncpoly(p: NCPoly) -> str:
     for word, coeff in p.sorted_terms():
         mono = "*".join(f"x{i}" for i in word) if word else "1"
         parts.append(_scaled_monomial(coeff, mono))
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return join_signed(parts)
 
 
 def _scaled_monomial(coeff, mono: str) -> str:

@@ -16,7 +16,7 @@ from .certificates import CertificateReport, ObstructionReport
 from .cyclic import CyclicWord, Potential, potential_to_presentation
 from .errors import InputError
 from .freealg import NCPoly, add_terms
-from .koszul import KoszulPoly, Triple, kterm
+from .koszul import KoszulPoly, Triple, kterm, xi3
 from .presentations import (LieData, Presentation, QuadData, ValidationReport, from_lie,
                             from_quadratic)
 from .rewriting import HilbertReport, TorsionOutcome
@@ -233,6 +233,8 @@ def presentation_to_json(p: Presentation) -> dict:
 # -- custom differentials -----------------------------------------------------------
 
 def custom_d2_from_json(doc, n: int) -> Dict[Triple, KoszulPoly]:
+    """d2 keyed by i < j < k: an unordered triple's value enters with xi3's permutation
+    sign, and the values given for one triple are added."""
     if not isinstance(doc, list):
         raise InputError("a custom differential is a list of {triple, value} entries")
     out: Dict[Triple, KoszulPoly] = {}
@@ -240,7 +242,10 @@ def custom_d2_from_json(doc, n: int) -> Dict[Triple, KoszulPoly]:
         if not isinstance(entry, dict) or "triple" not in entry \
                 or not isinstance(entry.get("value"), list):
             raise InputError(f"bad custom differential entry {entry!r}: needs fields triple, value")
-        tri = _indices(entry["triple"], 3, n, "triple")
+        sign, xi = xi3(*_indices(entry["triple"], 3, n, "triple"))
+        if not sign:
+            raise InputError(f"triple {entry['triple']!r} repeats an index; "
+                             "xi_ijk is zero by antisymmetry and is not stored")
         value = KoszulPoly.zero(n)
         for term in entry["value"]:
             if not isinstance(term, dict) or not isinstance(term.get("word"), list) \
@@ -255,7 +260,8 @@ def custom_d2_from_json(doc, n: int) -> Dict[Triple, KoszulPoly]:
                 else:
                     raise InputError(f"bad symbol {sym!r}")
             value = value + kterm(n, symbols, hpoly_from_json(term["coeff"]))
-        out[tri] = value
+        tri = xi[1:]
+        out[tri] = out.get(tri, KoszulPoly.zero(n)) + (value if sign > 0 else -value)
     return out
 
 

@@ -18,17 +18,19 @@ rule is only a primitive row lead -> (E, [(word, r)]), tail sum(r * word) / E,
 E positive (a positive lead in Z[h]); overlap differences come from the rows,
 normal forms run over one common denominator (`Ring.split` gives each step's
 factors, in Z[h] with a gcd only when E does not divide the coefficient), and
-new rules are the primitive rows of normal forms, at h = a after a
-fraction-free echelon step over the whole batch that divides out a row's
-content once, when the row is finished.  Field arithmetic would pay a gcd per
-product and sum of intermediate rules, which carry hundreds of bits.
-`rules` derives the Fraction or HRat tails from the rows with `Ring.to_field`.
-Every polynomial, `reduce_dict`'s terms included, enters the ring through
-`Ring.row`.  The normal-form kernel keys its terms and its rewrite cache
-(cleared by `_set_rule` and `_drop_rule`) by deglex rank; word tuples are
-built only where words enter or leave it and on a cache miss, and a map per
-system decodes ranks.  `member` and torsion's separation probes answer from
-the ranked normal form, without words or field values.
+new rules are the primitive rows of normal forms; at h = a a fraction-free
+echelon step over the whole batch divides out a row's content once, when the
+row is finished, and installs each pivot as it stands.  A last pass reduces
+every tail against the finished rules, then installs them all.  Field
+arithmetic would pay a gcd per product and sum of intermediate rules, which
+carry hundreds of bits.  `rules` derives the Fraction or HRat tails from the
+rows with `Ring.to_field`.  Every polynomial, `reduce_dict`'s terms and
+`module_membership`'s rows included, enters the ring through `Ring.row`.  The
+normal-form kernel keys its terms and its rewrite cache (cleared by
+`_set_rule` and `_drop_rule`) by deglex rank; word tuples are built only where
+words enter or leave it and on a cache miss, and a map per system decodes
+ranks.  `member` and torsion's separation probes answer from the ranked normal
+form, `_residue`, without words or field values.
 
 Torsion probing works over Q[h] itself: factor * T is certified to lie in the
 ideal by exhibiting an explicit polynomial combination of the relations
@@ -46,13 +48,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, add_terms, check_ambient
 from .presentations import Presentation
-from .scalars import INTEGERS, ZPOLYS, HPoly, clear_denominators, rational_roots
+from .scalars import INTEGERS, ZPOLYS, HPoly, rational_roots
 
 TermDict = Dict[Word, object]
 
@@ -190,6 +192,10 @@ class RewriteSystem:
                         del terms[rank]
         return den, terms
 
+    def _residue(self, p: NCPoly) -> dict:
+        """The ranked normal form of p: empty exactly when p reduces to zero."""
+        return self._reduce_ranked(*self.ring.row(p, self.a))[1]
+
     def reduce_ring(self, den, terms: TermDict) -> tuple:
         """Normal form (den', terms') of terms / den, terms a word -> ring value dict,
         left unchanged: `_reduce_ranked`, whose terms and rewrite cache are keyed by
@@ -253,9 +259,9 @@ class RewriteSystem:
             if any(len(other) < len(lead) and _contains(lead, other) for other in leads):
                 carry.append((1, {words[col]: c for col, c in row.items()}))
                 continue
-            scale, nums = self.ring.primitive_row(row.pop(top), [-c for c in row.values()])
+            scale = row.pop(top)  # the pivot is primitive, with a positive entry at top
             carry += self._retire(lead)
-            self._set_rule(lead, scale, list(zip(map(words.get, row), nums)))
+            self._set_rule(lead, scale, [(words[col], -c) for col, c in row.items()])
             queue.push_overlaps(lead, self._rows)
         return carry
 
@@ -310,9 +316,10 @@ class RewriteSystem:
                 carry = self._add_batch(carry, queue)
             else:
                 self._add_poly(*self._overlap(*queue.pop()), queue)
-        for lead in list(self._rows):
-            scale, row = self._drop_rule(lead)
-            den, tail = self._reduce_ranked(scale, dict(row))
+        # a tail word is deglex-smaller than its lead, so no rewrite of it meets the lead
+        tails = {lead: self._reduce_ranked(scale, dict(row))
+                 for lead, (scale, row) in self._rows.items()}
+        for lead, (den, tail) in tails.items():
             scale, nums = ring.primitive_row(den, list(tail.values()))
             self._set_rule(lead, scale, list(zip(map(self._words.get, tail), nums)))
         self.degree_bound = degree
@@ -480,7 +487,7 @@ def member(system: RewriteSystem, p: NCPoly) -> bool:
         return True
     if p.deg_x() > system.complete_through:
         raise OutOfRange(f"degree {p.deg_x()} exceeds certified degree {system.complete_through}")
-    return not system._reduce_ranked(*system.ring.row(p, system.a))[1]
+    return not system._residue(p)
 
 
 # -- membership over Q[h] ----------------------------------------------------
@@ -494,12 +501,13 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     certificate; a negative answer only means no combination exists within
     these bounds.
 
-    The elimination is fraction-free and runs in integers: the cell
-    (word, k) is column _deglex_rank(word) * (max_h_degree + 1) + k, so a
-    row's deglex-largest cell is its largest column and an h-shift adds to
-    every column.  Rows are scaled to coprime integers, and reducing by a
-    pivot cross-multiplies instead of dividing, so the span, and with it the
-    answer, is exactly that of the rational elimination.
+    The elimination is fraction-free and runs on the integers of `ZPOLYS.row`:
+    the h^k coefficient at a word is the cell (word, k), column
+    _deglex_rank(word) * (max_h_degree + 1) + k, so a row's deglex-largest
+    cell is its largest column and an h-shift adds to every column.  Pivots
+    are primitive and reducing by one cross-multiplies, so no row's scale
+    changes the span or the answer.  A target whose row has a non-constant
+    denominator is not over Q[h] and raises `InputError`.
 
     The multiples h^s * u * r * v are built by word length |u| + |v| + deg r.
     When all the words of each relation have one length (h times a quadratic
@@ -511,21 +519,22 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
     length up to max_word_degree is.
     """
     check_ambient(p.n, target)
-    target = target.with_hpoly_coeffs()
-    for w, c in target.terms.items():
-        if len(w) > max_word_degree or c.degree > max_h_degree:
-            return False
+    den, row = ZPOLYS.row(target, None)
+    if len(den) > 1:
+        raise InputError("module membership needs a target with coefficients in Q[h]")
     n, width = p.n, max_h_degree + 1
-    relations = [p.relation(*pair).with_hpoly_coeffs() for pair in p.pairs()]
+    if any(len(w) > max_word_degree or len(c) > width for w, c in row.items()):
+        return False
+    relations = [p.relation(*pair) for pair in p.pairs()]
     if all(len({len(w) for w in rel.terms}) == 1 for rel in relations):
-        lengths = sorted({len(w) for w in target.terms})
+        lengths = sorted({len(w) for w in row})
     else:
         lengths = range(max_word_degree + 1)
     letters = range(1, n + 1)
     pivots: Dict[int, Dict[int, int]] = {}
     for rel in relations:
         deg = rel.deg_x()
-        cells = _primitive_cells(rel)
+        cells = [(w, k, q) for w, c in ZPOLYS.row(rel, None)[1].items() for k, q in enumerate(c) if q]
         shifts = range(width - max(k for _, k, _ in cells))
         if not shifts:
             continue
@@ -536,16 +545,8 @@ def module_membership(p: Presentation, target: NCPoly, max_word_degree: int,
                         base = [(_deglex_rank(u + w + v, n) * width + k, c) for w, k, c in cells]
                         for shift in shifts:
                             _echelon_insert(pivots, {col + shift: c for col, c in base})
-    goal = {_deglex_rank(w, n) * width + k: c for w, k, c in _primitive_cells(target)}
+    goal = {_deglex_rank(w, n) * width + k: q for w, c in row.items() for k, q in enumerate(c) if q}
     return not _echelon_reduce(pivots, goal)
-
-
-def _primitive_cells(poly: NCPoly) -> List[Tuple[Word, int, int]]:
-    """The (word, h-power, coefficient) cells of poly, scaled to coprime integers."""
-    cells = [(w, k, q) for w, c in poly.terms.items() for k, q in enumerate(c.coeffs) if q]
-    _, ints = clear_denominators(q for _, _, q in cells)
-    content = gcd(*ints) or 1
-    return [(w, k, v // content) for (w, k, _), v in zip(cells, ints)]
 
 
 def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int, int]:
@@ -628,7 +629,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
         return TorsionOutcome(status, detail, element, factor, degree, h_bound, refuting)
 
     generic = build_rules(p, "generic").complete(degree)
-    if generic._reduce_ranked(*generic.ring.row(element, None))[1]:
+    if generic._residue(element):
         return outcome("refuted", "factor*T is not in the ideal even with rational-function "
                                   "coefficients")
 
@@ -644,7 +645,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
             special = build_rules(p, "at", a).complete(degree)
         except BadSpecialization:
             continue
-        if special._reduce_ranked(*special.ring.row(element, a))[1]:
+        if special._residue(element):
             refuting = a
             break
 

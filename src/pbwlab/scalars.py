@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import wraps
 from itertools import islice, zip_longest
 from math import gcd, lcm
 from operator import mul
@@ -42,7 +43,35 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-class HPoly:
+def _coerced(method):
+    """The binary operator method applied to other as the operand's `_coerce`
+    converts it; NotImplemented when it does not."""
+    @wraps(method)
+    def operator(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else method(self, o)
+    return operator
+
+
+class _Scalar:
+    """The immutability and subtraction shared by `HPoly` and `HRat`, each of
+    which supplies `_coerce`, `__add__` and `__neg__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @_coerced
+    def __sub__(self, o):
+        return self + (-o)
+
+    @_coerced
+    def __rsub__(self, o):
+        return o + (-self)
+
+
+class HPoly(_Scalar):
     """Polynomial in hbar with rational coefficients."""
 
     __slots__ = ("coeffs",)
@@ -52,9 +81,6 @@ class HPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPoly is immutable")
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -112,10 +138,8 @@ class HPoly:
             return HPoly((other,))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -129,29 +153,8 @@ class HPoly:
     def __neg__(self):
         return HPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = (self.coeffs, o.coeffs) if len(self.coeffs) <= len(o.coeffs) else (o.coeffs, self.coeffs)
-        if a == (1,):
-            return o if a is self.coeffs else self
-        if len(a) <= 1:  # a constant (or zero) scales the other operand's normalized coefficients
-            out = object.__new__(HPoly)
-            object.__setattr__(out, "coeffs", tuple(a[0] * c for c in b) if a else ())
-            return out
+    @_coerced
+    def __mul__(self, o):
         # convolve integer coefficient lists; one division per coefficient at the end
         da, xs = clear_denominators(self.coeffs)
         db, ys = clear_denominators(o.coeffs)
@@ -160,14 +163,12 @@ class HPoly:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other) -> "HPoly":
+    @_coerced
+    def __floordiv__(self, o) -> "HPoly":
         """Exact quotient; ValueError when other does not divide self.  The
         primitive parts divide in Z[h]: by Gauss's lemma an exact quotient of
         primitive integer polynomials is integral, so `_ZPoly //` raises
         exactly when the division is inexact."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:
@@ -187,12 +188,9 @@ class HPoly:
         return acc
 
     # -- comparisons ----------------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, HPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == HPoly((other,)).coeffs
-        return NotImplemented
+    @_coerced
+    def __eq__(self, o):
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         # a constant (zero included) hashes like the Fraction it equals
@@ -206,7 +204,8 @@ class HPoly:
 
 
 def _convolve(xs, ys) -> list:
-    """Coefficients of the product of two nonzero integer coefficient sequences."""
+    """Coefficients of the product of two integer coefficient sequences; zeros
+    when one of them is empty."""
     out = [0] * (len(xs) + len(ys) - 1)
     for i, x in enumerate(xs):
         if x:
@@ -406,7 +405,7 @@ def rational_roots(p: HPoly) -> list:
     return sorted(roots)
 
 
-class HRat:
+class HRat(_Scalar):
     """Rational function in hbar, in lowest terms with monic denominator."""
 
     __slots__ = ("num", "den")
@@ -439,9 +438,6 @@ class HRat:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HRat is immutable")
-
     @classmethod
     def zero(cls) -> "HRat":
         return cls(HPoly.zero())
@@ -464,10 +460,8 @@ class HRat:
             return HRat(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return HRat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -475,22 +469,8 @@ class HRat:
     def __neg__(self):
         return HRat(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return HRat(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -500,16 +480,12 @@ class HRat:
             raise ZeroDivisionError("inverse of zero")
         return HRat(self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o * self.inv()
 
     def eval(self, a) -> Fraction:
@@ -518,10 +494,8 @@ class HRat:
             raise ZeroDivisionError(f"denominator vanishes at h={a}")
         return self.num.eval(a) / d
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
@@ -562,6 +536,12 @@ def format_hpoly(p: HPoly) -> str:
             else:
                 term = f"{format_rational(c)}*{base}"
         parts.append(term)
+    return join_signed(parts)
+
+
+def join_signed(parts: list) -> str:
+    """The nonempty list of term texts joined into a sum: " - t" after the first
+    term for a text "-t", " + t" otherwise."""
     out = parts[0]
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"

@@ -541,6 +541,9 @@ def certify_residues_reference(pres: Presentation, d2_choice, custom_d2=None):
         missing = [tri for tri in triples(n) if tri not in custom_d2]
         if missing:
             raise PathMismatch(f"custom differential misses triples {missing}")
+        extra = [tri for tri in custom_d2 if tri not in triples(n)]
+        if extra:
+            raise PathMismatch(f"custom differential has triples {extra} not i < j < k in 1..{n}")
         for tri, value in custom_d2.items():
             if value and value.degree() != -1:
                 raise PathMismatch(f"custom value for {tri} is not of degree -1")

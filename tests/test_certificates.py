@@ -104,6 +104,14 @@ class TestCertify:
         with pytest.raises(PathMismatch):
             certify(from_lie(sl2), "custom", custom_d2={})
 
+    def test_custom_d2_keys_must_be_triples(self, sl2):
+        """A key that is not i < j < k ends certify, build_differential and the
+        reference with one text, even when every triple is covered."""
+        custom = {**d2_lie(sl2), (3, 2, 1): d2_default(3)[(1, 2, 3)]}
+        for run in (certify, build_differential, certify_residues_reference):
+            with pytest.raises(PathMismatch, match=r"triples \[\(3, 2, 1\)\] not i < j < k in 1..3"):
+                run(from_lie(sl2), "custom", custom)
+
     def test_custom_d2_must_be_supplied(self, sl2):
         with pytest.raises(PathMismatch, match="custom differential requested but none supplied"):
             certify(from_lie(sl2), "custom")

@@ -207,15 +207,20 @@ class TestObstruction:
         assert "no obstruction" in out
 
 
+def _koszul_value():
+    """The terms of the Koszul d2(xi_123) in the custom differential format."""
+    value = []
+    for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        sign, sym = (1, [t, u]) if t < u else (-1, [u, t])
+        value.append({"word": [{"x": s}, {"xi2": sym}], "coeff": [str(sign)]})
+        value.append({"word": [{"xi2": sym}, {"x": s}], "coeff": [str(-sign)]})
+    return value
+
+
 class TestCustomDifferential:
     def test_custom_d2_file(self, capsys, sl2_file, tmp_path):
         """The unperturbed differential certifies sl2 (the correction cancels)."""
-        value = []
-        for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            sign, sym = (1, [t, u]) if t < u else (-1, [u, t])
-            value.append({"word": [{"x": s}, {"xi2": sym}], "coeff": [str(sign)]})
-            value.append({"word": [{"xi2": sym}, {"x": s}], "coeff": [str(-sign)]})
-        d2_doc = [{"triple": [1, 2, 3], "value": value}]
+        d2_doc = [{"triple": [1, 2, 3], "value": _koszul_value()}]
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps(d2_doc))
         code, out, _ = run_cli(capsys, "certify", "--input", sl2_file,
@@ -365,8 +370,20 @@ class TestMalformedInput:
         ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]},
                                           {"word": [{"xi2": [1, 2]}], "coeff": ["1"]}]}],
          "mixed cohomological degrees [-1, 0]"),
+        # beside the Koszul value, every entry is summed into its triple (with
+        # the permutation sign) or refused; none is dropped or overwritten
+        ([{"triple": [1, 2, 3], "value": _koszul_value()},
+          {"triple": [3, 2, 1], "value": [{"word": [{"x": 1}, {"xi2": [2, 3]}], "coeff": ["7"]}]}],
+         "custom value for (1, 2, 3) does not reduce to the Koszul d2 at h = 0"),
+        ([{"triple": [1, 2, 3], "value": _koszul_value()},
+          {"triple": [1, 1, 2], "value": [{"word": [{"xi2": [1, 2]}], "coeff": ["1"]}]}],
+         "triple [1, 1, 2] repeats an index"),
+        ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]}]},
+          {"triple": [1, 2, 3], "value": _koszul_value()}],
+         "mixed cohomological degrees [-1, 0]"),
     ], ids=["no-triple", "no-word", "short-xi2", "xi2-out-of-range", "x-out-of-range",
-            "triple-out-of-range", "degree-zero-value", "mixed-degree-value"])
+            "triple-out-of-range", "degree-zero-value", "mixed-degree-value",
+            "unordered-triple-summed", "repeated-index", "repeated-triple-summed"])
     def test_custom_differential(self, capsys, sl2_file, tmp_path, d2_doc, message):
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps(d2_doc))

@@ -8,8 +8,8 @@ import strategies as sts
 from pbwlab.cyclic import CyclicWord
 from pbwlab.errors import InputError
 from pbwlab.freealg import NCPoly
-from pbwlab.jsonio import (MAX_H_EXPONENT, hpoly_from_json, hpoly_to_json,
-                           ncpoly_from_json, ncpoly_to_json, parse_hpoly_string,
+from pbwlab.jsonio import (MAX_H_EXPONENT, custom_d2_from_json, hpoly_from_json,
+                           hpoly_to_json, ncpoly_from_json, ncpoly_to_json, parse_hpoly_string,
                            potential_from_json, potential_to_json,
                            presentation_from_json, presentation_to_json,
                            rational_from_json)
@@ -184,3 +184,24 @@ class TestPresentationJson:
                 lambda c: c * HPoly.h()) for k, v in phi.items() if v}))))
     def test_random_roundtrip(self, p):
         assert presentation_from_json(presentation_to_json(p)) == p
+
+
+class TestCustomD2Json:
+    X1_XI23 = [{"word": [{"x": 1}, {"xi2": [2, 3]}], "coeff": ["7"]}]
+    XI12_X3 = [{"word": [{"xi2": [1, 2]}, {"x": 3}], "coeff": ["0", "1"]}]
+
+    def test_unordered_triple_enters_with_its_permutation_sign(self):
+        value = custom_d2_from_json([{"triple": [1, 2, 3], "value": self.X1_XI23}], 3)[(1, 2, 3)]
+        for tri, sign in (([3, 2, 1], -1), ([2, 3, 1], 1), ([3, 1, 2], 1), ([1, 3, 2], -1)):
+            got = custom_d2_from_json([{"triple": tri, "value": self.X1_XI23}], 3)
+            assert got == {(1, 2, 3): value if sign > 0 else -value}, tri
+
+    def test_values_of_one_triple_are_added(self):
+        doc = [{"triple": [1, 2, 3], "value": self.X1_XI23},
+               {"triple": [2, 1, 3], "value": self.X1_XI23 + self.XI12_X3}]
+        expected = custom_d2_from_json([{"triple": [1, 2, 3], "value": self.XI12_X3}], 3)
+        assert custom_d2_from_json(doc, 3) == {(1, 2, 3): -expected[(1, 2, 3)]}
+
+    def test_repeated_index_rejected(self):
+        with pytest.raises(InputError, match=r"triple \[1, 1, 2\] repeats an index"):
+            custom_d2_from_json([{"triple": [1, 1, 2], "value": self.X1_XI23}], 3)

@@ -57,7 +57,7 @@ def test_find_poisson_fixture():
 
 def test_cli_battery():
     lines = run_script("cli_battery.py")
-    assert len(lines) == 1722
+    assert len(lines) == 1728
     fields = [line.split("\t") for line in lines]
     assert all(len(f) == 4 and len(f[2]) == len(f[3]) == 64 for f in fields)
     assert len({f[0] for f in fields}) == len(fields)  # every argv once
@@ -77,7 +77,10 @@ def test_ab_fixtures():
         + [f"mixed{k}@{a}" for k, a in enumerate(
             ["3", "2", "1", "5/2", "-1/2", "2", "5", "2", "1", "3/2", "5/2"])]
         + [f"{name} generic" for name in ("sl2", "heisenberg", "quantum3", "strange")]
-        + [f"hrat{k} generic" for k in range(7)] + ["total h = a", "total generic"])
+        + [f"hrat{k} generic" for k in range(7)]
+        + [f"torsion:{label}" for label in ("witness-d5", "witness-d6", "unknown-h",
+                                            "refuted-const", "refuted-sl2")]
+        + ["total h = a", "total generic", "total torsion"])
     assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
                for _, old, new, ratio in rows)
 
