@@ -1,4 +1,4 @@
-"""Compare the `hilbert` and `torsion_check` answers and CPU times of two pbwlab trees.
+"""Compare the `hilbert`, `torsion_check` and generic read answers and CPU times of two pbwlab trees.
 
     python3 scripts/ab_fixtures.py OLD_SRC NEW_SRC [--repeats N]
 
@@ -12,14 +12,16 @@ generic `hilbert` questions that the benchmark asks of the corpus: sl2,
 heisenberg and quantum3 to K = 5, strange and the `hrat.json` potentials to
 K = 4; and the benchmark's five torsion probes, whose Q[h] membership is
 `module_membership`: strange with T at the factors 1 - h (degrees 5 and 6),
-h and 2, and sl2 with x1 at 1 - h.  For each fixture the script first asserts
-that both trees give the same answer (`dims`, `excluded` and
-`complete_through` of a Hilbert report, a torsion `status`), then takes the
-best of N thread-CPU timings per tree, alternating which tree runs first, and
-prints one line per fixture with both times and the ratio new / old, then the
-totals of the h = a, the generic and the torsion fixtures.  In-process CPU
-timings interleaved this way are steadier on a noisy machine than paired
-benchmark runs, but they time these two calls alone.
+h and 2, and sl2 with x1 at 1 - h.  The reads are `rules` of the generic
+system of each `hrat.json` potential after `complete(4)`, then `reduce_dict`
+of every rule tail: the paths that build `HRat` values.  For each fixture the
+script first asserts that both trees give the same answer (`dims`, `excluded`
+and `complete_through` of a Hilbert report, a torsion `status`, the values
+read), then takes the best of N thread-CPU timings per tree, alternating which
+tree runs first, and prints one line per fixture with both times and the ratio
+new / old, then the totals of the h = a, the generic, the torsion and the
+read fixtures.  In-process CPU timings interleaved this way are steadier on a
+noisy machine than paired benchmark runs, but they time these calls alone.
 """
 
 import argparse
@@ -72,6 +74,9 @@ def fixtures() -> list:
     for label, name, element, factor, degree in TORSION_PROBES:
         out.append((f"torsion:{label}", "torsion", torsion_runner,
                     (corpus(f"{name}.json"), corpus(element), factor, degree)))
+    for entry in corpus("hrat.json"):
+        out.append((f"{entry['name']} reads", "reads", reads_runner,
+                    ({"potential": entry["potential"]}, GENERIC_DEGREE)))
     return out
 
 
@@ -90,6 +95,21 @@ def torsion_runner(pkg, doc, terms, factor, degree):
     element = pkg.jsonio.ncpoly_from_json(terms, pres.n)
     factor = pkg.jsonio.parse_hpoly_string(factor)
     return lambda: pkg.rewriting.torsion_check(pres, element, factor, degree), lambda r: r.status
+
+
+def reads_runner(pkg, doc, degree):
+    """`rules` of pkg's generic system on doc, completed through degree outside
+    the timing, and `reduce_dict` of every rule tail; the reprs of the values."""
+    system = pkg.rewriting.build_rules(pkg.jsonio.presentation_from_json(doc), "generic")
+    system.complete(degree)
+
+    def read():
+        return {lead: (tail, system.reduce_dict(tail)) for lead, tail in system.rules.items()}
+
+    def plain(terms):
+        return {w: repr(c) for w, c in terms.items()}
+
+    return read, lambda r: {lead: tuple(map(plain, pair)) for lead, pair in r.items()}
 
 
 def cpu_s(run) -> float:
@@ -113,7 +133,7 @@ def main(argv=None) -> int:
             new = load_package(args.new_src, "pbwlab_new", Path(tmp))
         finally:
             sys.path.remove(tmp)
-        totals = {"h = a": [0.0, 0.0], "generic": [0.0, 0.0], "torsion": [0.0, 0.0]}
+        totals = {group: [0.0, 0.0] for group in ("h = a", "generic", "torsion", "reads")}
         print(f"{'fixture':<22} {'old_ms':>9} {'new_ms':>9} {'new/old':>8}")
         for label, group, runner, inputs in fixtures():
             (run_old, answer), (run_new, _) = runner(old, *inputs), runner(new, *inputs)

@@ -195,7 +195,7 @@ class ObstructionReport:
 def _hbar_order(p: NCPoly) -> Optional[int]:
     """Lowest hbar power with a nonzero coefficient; None for zero."""
     return min((next(k for k, c in enumerate(coeff.coeffs) if c)
-                for coeff in p.with_hpoly_coeffs().terms.values()), default=None)
+                for coeff in p.terms.values()), default=None)
 
 
 def obstruction(p: Presentation, d2_choice: str = "default",

@@ -84,10 +84,7 @@ class Potential(WordPoly):
     def divisible_by_h(self) -> bool:
         return all(c.divisible_by_h() for c in self.terms.values())
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{cw}" for cw, c in self.sorted_terms())
+    _mono = staticmethod(str)  # Cycl(...)
 
 
 def cyclic_derivative(pot: Potential, i: int) -> NCPoly:

@@ -10,7 +10,8 @@ own: `koszul.residues` drops its zeros once, at the end; `rewriting._reduce_rank
 pushes each new word onto its heap; `rewriting._eliminate` works on integer
 columns; `certificates.check_quadratic_condition` sums into a `defaultdict`
 and reads only the nonzero sums.  `nc_mul` concatenates words and serves every
-`WordPoly` whose words are tuples.
+`WordPoly` whose words are tuples.  `WordPoly.__str__` prints every word
+polynomial: each term a coefficient times the `_mono` text of its word.
 
 An `NCPoly` is a `WordPoly` over generator indices in 1..n; the empty tuple
 is the unit monomial.  Coefficients may be `Fraction`, `HPoly`, or `HRat`; a
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Tuple
 
 from .errors import AmbientMismatch, BadIndex, UndefinedDegree
-from .scalars import HPoly, HRat, format_hpoly, format_rational, join_signed
+from .scalars import HPoly, HRat, join_signed
 
 Word = Tuple[int, ...]
 
@@ -131,8 +132,17 @@ class WordPoly:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
+    @staticmethod
+    def _mono(word) -> str:
+        """The text of a word's monomial; subclasses override."""
+        return "*".join(f"x{i}" for i in word) or "1"
+
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, {dict(self.sorted_terms())!r})"
+
+    def __str__(self):
+        parts = [_scaled_monomial(c, self._mono(w)) for w, c in self.sorted_terms()]
+        return join_signed(parts) if parts else "0"
 
 
 def nc_mul(p: WordPoly, q: WordPoly) -> WordPoly:
@@ -199,9 +209,6 @@ class NCPoly(WordPoly):
     def with_hrat_coeffs(self) -> "NCPoly":
         return self.map_coeffs(lambda c: c if isinstance(c, HRat) else HRat(c))
 
-    def __str__(self):
-        return format_ncpoly(self)
-
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return nc_mul(p, q) - nc_mul(q, p)
@@ -217,11 +224,6 @@ def hbar_coefficient(p: NCPoly, k: int) -> NCPoly:
     return p.with_hpoly_coeffs().map_coeffs(lambda c: c.coeff(k))
 
 
-def hbar_degree(p: NCPoly) -> int:
-    """Largest hbar power with a nonzero coefficient; -1 for zero."""
-    return max((c.degree for c in p.with_hpoly_coeffs().terms.values()), default=-1)
-
-
 def specialize(p: NCPoly, a) -> NCPoly:
     """Evaluate every coefficient at hbar = a; the support may shrink."""
     def ev(c):
@@ -233,25 +235,13 @@ def specialize(p: NCPoly, a) -> NCPoly:
 
 
 def format_ncpoly(p: NCPoly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for word, coeff in p.sorted_terms():
-        mono = "*".join(f"x{i}" for i in word) if word else "1"
-        parts.append(_scaled_monomial(coeff, mono))
-    return join_signed(parts)
+    return str(p)
 
 
 def _scaled_monomial(coeff, mono: str) -> str:
-    if isinstance(coeff, HPoly):
-        if len([c for c in coeff.coeffs if c]) > 1:
-            text = f"({format_hpoly(coeff)})"
-        else:
-            text = format_hpoly(coeff)
-    elif isinstance(coeff, HRat):
-        text = str(coeff) if coeff.is_polynomial() and len([c for c in coeff.num.coeffs if c]) <= 1 else f"({coeff})"
-    else:
-        text = format_rational(coeff)
+    text = str(coeff)
+    if " " in text or ")/(" in text:  # a sum, or a quotient of polynomials
+        text = f"({text})"
     if mono == "1":
         return text
     if text == "1":

@@ -292,8 +292,7 @@ def certificate_report_to_json(r: CertificateReport) -> dict:
 def obstruction_report_to_json(r: ObstructionReport) -> dict:
     return {
         "hbar_order": r.hbar_order,
-        "generators": [{"triple": list(tri),
-                        "generator": ncpoly_to_json(gen.with_hpoly_coeffs())}
+        "generators": [{"triple": list(tri), "generator": ncpoly_to_json(gen)}
                        for tri, gen in r.generators],
     }
 

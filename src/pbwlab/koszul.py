@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Tuple
 
-from .errors import BadIndex, Inhomogeneous
+from .errors import BadIndex, Inhomogeneous, PathMismatch
 from .freealg import NCPoly, WordPoly, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
 from .scalars import ZPOLYS, HPoly, _ZPoly, _zpoly_to_field, clear_denominators
@@ -96,16 +96,10 @@ class KoszulPoly(WordPoly):
             return NotImplemented
         return nc_mul(self, other)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def sym_str(sym):
-            return f"x{sym[1]}" if sym[0] == "x" else "xi" + "".join(str(i) for i in sym[1:])
-        parts = []
-        for word, coeff in self.sorted_terms():
-            mono = "*".join(sym_str(s) for s in word) if word else "1"
-            parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
+    @staticmethod
+    def _mono(word) -> str:
+        return "*".join(f"x{s[1]}" if s[0] == "x" else "xi" + "".join(map(str, s[1:]))
+                        for s in word) or "1"
 
 
 def kterm(n: int, symbols: Iterable[Tuple], coeff=HPoly.one()) -> KoszulPoly:
@@ -210,10 +204,13 @@ def tail_entries(n: int, values: dict) -> dict:
 
 def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
     """Entries of KoszulPoly values with exactly one xi2 symbol per word, through
-    the Z[h] ring row; each triple keeps its own denominator."""
+    the Z[h] ring row; each triple keeps its own denominator, which must be an
+    integer: an admissible d2 is polynomial in h."""
     out = {}
     for tri, value in d2.items():
         den, row = ZPOLYS.row(value, None)
+        if len(den) > 1:
+            raise PathMismatch(f"custom value for {tri} has coefficients outside Q[h]")
         entries = []
         for word, num in row.items():
             pos = next(k for k, sym in enumerate(word) if sym[0] == "xi2")

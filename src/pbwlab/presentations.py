@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import BadIndex
-from .freealg import NCPoly, hbar_degree
+from .freealg import NCPoly
 from .scalars import HPoly
 
 Pair = Tuple[int, int]
@@ -123,10 +123,8 @@ def _tensor_of(p: Presentation, length: int) -> dict | None:
     given length, or None if some phi is not of that form."""
     values: Dict[tuple, Fraction] = {}
     for (i, j), poly in p.phi.items():
-        if hbar_degree(poly) > 1:
-            return None
         for word, coeff in poly.terms.items():
-            if len(word) != length or not coeff.divisible_by_h():
+            if len(word) != length or coeff.degree > 1 or not coeff.divisible_by_h():
                 return None
             values[(i, j, *word)] = coeff.coeff(1)
     return values

@@ -54,7 +54,7 @@ from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, add_terms, check_ambient
 from .presentations import Presentation
-from .scalars import INTEGERS, ZPOLYS, HPoly, rational_roots
+from .scalars import INTEGERS, ZPOLYS, HPoly, _zpoly_to_field, rational_roots
 
 TermDict = Dict[Word, object]
 
@@ -273,10 +273,6 @@ class RewriteSystem:
             return self.ring.unit, {}
         (e_left, row_left), (e_right, row_right) = self._rows[left], self._rows[right]
         suffix, prefix = right[k:], left[:len(left) - k]
-        if e_left == e_right:
-            p1 = add_terms({}, ((tw + suffix, tc) for tw, tc in row_left))
-            add_terms(p1, ((prefix + tw, -tc) for tw, tc in row_right))
-            return e_left, p1
         m_left, m_right = self.ring.split(e_left, e_right)
         p1 = add_terms({}, ((tw + suffix, tc * m_left) for tw, tc in row_left))
         add_terms(p1, ((prefix + tw, -tc * m_right) for tw, tc in row_right))
@@ -614,6 +610,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
     A witness requires factor * element in the relation ideal over Q[h] while
     element itself is not; the first fact is certified by an explicit bounded
     combination, the second by a specialization with a nonzero normal form.
+    An element with a coefficient outside Q[h] raises `InputError`.
     """
     check_ambient(p.n, element)
     if not element.terms:
@@ -622,7 +619,10 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
         raise InputError("the scalar factor must be nonzero")
     if element.deg_x() > degree - 1:
         raise OutOfRange(f"element degree {element.deg_x()} exceeds {degree - 1}")
-    element = element.with_hpoly_coeffs()
+    den, row = ZPOLYS.row(element, None)
+    if len(den) > 1:
+        raise InputError("the probed element needs coefficients in Q[h]")
+    element = NCPoly.adopt(p.n, {w: _zpoly_to_field(v, den) for w, v in row.items()})
     h_bound = (max(c.degree for c in element.terms.values()) + factor.degree + degree + 2)
 
     def outcome(status: str, detail: str, refuting=None) -> TorsionOutcome:

@@ -5,8 +5,8 @@ Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
 `HPoly` is a univariate polynomial in hbar over the rationals, stored as a
 coefficient tuple lowest power first with trailing zeros stripped.  `HRat`
 is the fraction field of `HPoly`, kept in canonical form: numerator and
-denominator coprime, denominator monic and nonzero.  `clear_denominators` and
-`clear_hrat_denominators` put values of Q and Q(h) over one denominator in Z and Q[h].
+denominator coprime, denominator monic and nonzero, built from one Z[h] pair
+(`_zpair`) with one gcd.  `clear_denominators` clears rationals in Z.
 `_ZPoly`, a bare tuple of ints, is a polynomial over Z; `hpoly_gcd` is the monic
 form of its gcd `_zpoly_gcd`, and `HPoly //` (exact division, no remainder)
 divides the primitive parts with `_ZPoly //`.  `_zpoly_quotient` is the one
@@ -335,16 +335,16 @@ def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
     return HPoly([Fraction(c, g[-1]) for c in g]) if g else HPoly.zero()
 
 
-def clear_hrat_denominators(values) -> tuple:
-    """(d, nums) with values equal to [HRat(v, d) for v in nums], d the monic lcm of the
-    denominators.  A denominator of 1, or equal to the running d, costs no gcd or division."""
-    values = list(values)
-    den = HPoly.one()
-    for v in values:
-        if v.den.degree > 0 and v.den != den:
-            den = v.den if den.degree == 0 else den * (v.den // hpoly_gcd(den, v.den))
-    return den, [v.num if v.den == den else
-                 v.num * (den if v.den.degree == 0 else den // v.den) for v in values]
+def _zpair(value) -> tuple:
+    """(n, d) over Z[h] with value = n / d and d of positive lead: the
+    numerator and denominator of a rational, HPoly (over 1) or HRat, both
+    cleared by one integer."""
+    if isinstance(value, HRat):
+        num, den = value.num.coeffs, value.den.coeffs
+    else:
+        num, den = (value if isinstance(value, HPoly) else HPoly.const(value)).coeffs, (1,)
+    ints = clear_denominators([*num, *den])[1]
+    return _ZPoly(ints[:len(num)]), _ZPoly(ints[len(num):])
 
 
 def rational_roots(p: HPoly) -> list:
@@ -411,32 +411,18 @@ class HRat(_Scalar):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        over = None
-        if isinstance(num, HRat):
-            num, over = num.num, num.den
-        elif not isinstance(num, HPoly):
-            num = HPoly.const(num)
-        if isinstance(den, HRat):
-            num, den = num * den.den, den.num
-        elif den is not None and not isinstance(den, HPoly):
-            den = HPoly.const(den)
-        if over is not None:
-            den = over if den is None else over * den
-        elif den is None:
-            den = HPoly.one()
+        a, b = _zpair(num)
+        c, d = _zpair(1 if den is None else den)
+        num, den = a * d, b * c  # (a / b) / (c / d)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            num, den = HPoly.zero(), HPoly.one()
-        elif den.degree > 0:  # a constant denominator shares no factor with num
-            g = hpoly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        lc = den.lead
-        if lc != 1:  # divide by the lead directly
-            num, den = HPoly([c / lc for c in num.coeffs]), HPoly([c / lc for c in den.coeffs])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num, den = _ZPoly(), _ZPoly((1,))
+        elif len(den) > 1 and len(g := _zpoly_gcd(num, den)) > 1:  # no gcd for a constant den
+            num, den = num // g, den // g
+        lc = den[-1]
+        object.__setattr__(self, "num", HPoly([Fraction(v, lc) for v in num]))
+        object.__setattr__(self, "den", HPoly([Fraction(v, lc) for v in den]))
 
     @classmethod
     def zero(cls) -> "HRat":
@@ -593,17 +579,17 @@ def _int_row(poly, a) -> tuple:
 def _zpoly_row(poly, a) -> tuple:
     """The row of poly over Q(h), a ignored: L * c over L when the coefficients
     are polynomials, L the lcm of their rational coefficients' denominators;
-    else their Q(h) values over the monic lcm of the denominators, every
-    rational coefficient of which is then scaled by one integer lcm.  The
-    denominator has a positive lead, and the row is primitive: both clearings
-    of reduced fractions are."""
+    else the Z[h] pairs of their values over the lcm of the pair denominators,
+    made primitive.  The denominator has a positive lead, and the row is
+    primitive; the primitive row of given values is unique up to sign."""
     if not any(isinstance(c, HRat) for c in poly.terms.values()):
         big, ints = _scaled_coeffs(poly.terms)
         return _ZPoly((big,)), {w: _ZPoly(v) for w, v in ints.items()}
-    den, nums = clear_hrat_denominators([c if isinstance(c, HRat) else HRat(c)
-                                         for c in poly.terms.values()])
-    ints = iter(clear_denominators([c for p in (den, *nums) for c in p.coeffs])[1])
-    den, *nums = [_ZPoly(islice(ints, len(p.coeffs))) for p in (den, *nums)]
+    pairs = [_zpair(c) for c in poly.terms.values()]
+    den = _ZPoly((1,))
+    for _, d in pairs:  # lcm(den, d) = den * d / g; no gcd when d divides den
+        den = den if d == den else den * _zpoly_split(den, d)[0]
+    den, nums = _primitive_zpoly_row(den, [n if d == den else n * (den // d) for n, d in pairs])
     return den, dict(zip(poly.terms, nums))
 
 

@@ -5,7 +5,8 @@ from exact row reduction of explicit relation multiples, residue
 expansions from direct index summation, and differentials of Koszul words
 from plain dict products.  `reduce_ring_reference` reads a rewrite system's
 rule rows but calls none of its methods, and `ring_row_reference` clears
-with `scalars.clear_denominators` and `clear_hrat_denominators` alone.
+with `scalars.clear_denominators` and this module's `clear_hrat_denominators`,
+whose lcm is taken with Euclidean gcds in Fractions.
 `certify_residues_reference` builds d2 from the Koszul formulas one `kterm`
 at a time and applies d1 through `apply_d_reference`.
 `quadratic_condition_reference` scans all n^6 tuples of the cyclic
@@ -22,8 +23,7 @@ from math import gcd, lcm
 
 from pbwlab.freealg import NCPoly, deglex_key, specialize
 from pbwlab.presentations import Presentation, QuadData
-from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _ZPoly, clear_denominators,
-                            clear_hrat_denominators)
+from pbwlab.scalars import HPoly, HRat, _zpoly_gcd, _ZPoly, clear_denominators
 
 
 def words_up_to(n, max_len):
@@ -245,6 +245,16 @@ def hpoly_gcd_reference(a: HPoly, b: HPoly) -> HPoly:
     while b:
         a, b = b, hpoly_divmod_reference(a, b)[1]
     return monic_reference(a)
+
+
+def clear_hrat_denominators(values) -> tuple:
+    """(d, nums) with values equal to [HRat(v, d) for v in nums], d the monic lcm
+    of the denominators."""
+    values = list(values)
+    den = HPoly.one()
+    for v in values:
+        den = den * (v.den // hpoly_gcd_reference(den, v.den))
+    return den, [v.num * (den // v.den) for v in values]
 
 
 def _primitive_hpoly_row(den: HPoly, values: list) -> tuple:

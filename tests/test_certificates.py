@@ -23,7 +23,7 @@ from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic, lie_data_of, quad_data_of, validate)
 from pbwlab.cyclic import potential_to_presentation
 from pbwlab.rewriting import build_rules, member
-from pbwlab.scalars import HPoly
+from pbwlab.scalars import HPoly, HRat
 
 
 class TestCertify:
@@ -110,6 +110,17 @@ class TestCertify:
         custom = {**d2_lie(sl2), (3, 2, 1): d2_default(3)[(1, 2, 3)]}
         for run in (certify, build_differential, certify_residues_reference):
             with pytest.raises(PathMismatch, match=r"triples \[\(3, 2, 1\)\] not i < j < k in 1..3"):
+                run(from_lie(sl2), "custom", custom)
+
+    def test_custom_d2_with_rational_function_coefficients_rejected(self, sl2):
+        """h / (1 + h) * x1 xi23 added to the Koszul d2 passes the h = 0 check,
+        but a d2 outside Q[h] proves nothing: certify, obstruction and
+        build_differential reject it before any residue is built."""
+        h = HPoly.h()
+        custom = d2_default(3)
+        custom[(1, 2, 3)] = custom[(1, 2, 3)] + kterm(3, [("x", 1), ("xi2", 2, 3)], HRat(h, 1 + h))
+        for run in (certify, obstruction, build_differential):
+            with pytest.raises(PathMismatch, match=r"value for \(1, 2, 3\) has coefficients outside Q\[h\]"):
                 run(from_lie(sl2), "custom", custom)
 
     def test_custom_d2_must_be_supplied(self, sl2):

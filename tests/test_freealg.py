@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from pbwlab.cyclic import Potential
+from pbwlab.cyclic import CyclicWord, Potential
 from pbwlab.errors import AmbientMismatch, UndefinedDegree
 from pbwlab.freealg import (NCPoly, commutator, hbar_coefficient, nc_mul,
                             specialize)
-from pbwlab.koszul import KoszulPoly
-from pbwlab.scalars import HPoly
+from pbwlab.koszul import KoszulPoly, d2_default
+from pbwlab.scalars import HPoly, HRat
 
 
 def x(n, *letters):
@@ -130,6 +130,32 @@ def test_sorted_terms_deglex():
     p = NCPoly(2, {(2,): HPoly.one(), (1, 1): HPoly.one(), (1,): HPoly.one(),
                    (): HPoly.one()})
     assert [w for w, _ in p.sorted_terms()] == [(), (1,), (2,), (1, 1)]
+
+
+_H = HPoly.h()
+STR_FORMS = [
+    (NCPoly(3, {(2, 1): Fraction(-3, 2), (): Fraction(1), (1,): Fraction(-1), (3,): Fraction(1),
+                (1, 3, 2): Fraction(5)}),
+     "1 - x1 + x3 - 3/2*x2*x1 + 5*x1*x3*x2"),
+    (NCPoly(3, {(2, 1): 1 + _H, (): -_H, (1,): HPoly.const(-1), (3,): 2 * _H * _H,
+                (1, 2): HPoly.one(), (2, 2): _H - 1}),
+     "-h - x1 + 2*h^2*x3 + x1*x2 + (1 + h)*x2*x1 + (-1 + h)*x2*x2"),
+    (NCPoly(3, {(2, 1): HRat(_H, 1 + _H), (): HRat(-_H), (1,): HRat(-1), (3,): HRat(1 + _H),
+                (2, 2): HRat(2)}),
+     "-h - x1 + (1 + h)*x3 + ((h)/(1 + h))*x2*x1 + 2*x2*x2"),
+    (NCPoly.zero(3), "0"),
+    (d2_default(3)[(1, 2, 3)],
+     "x1*xi23 - x2*xi13 + x3*xi12 - xi12*x3 + xi13*x2 - xi23*x1"),
+    (Potential(3, {CyclicWord(3, (3, 2, 1)): -_H, CyclicWord(3, (1, 1, 2)): 1 + _H,
+                   CyclicWord(3, (2,)): Fraction(1, 2)}),
+     "1/2*Cycl(x2) + (1 + h)*Cycl(x1*x1*x2) - h*Cycl(x1*x3*x2)"),
+]
+
+
+@pytest.mark.parametrize("poly, text", STR_FORMS)
+def test_str_of_word_polynomials(poly, text):
+    """Terms in deglex order, each a scaled monomial, joined with their signs."""
+    assert str(poly) == text
 
 
 CORE_TYPES = {

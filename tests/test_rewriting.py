@@ -959,25 +959,33 @@ def test_generic_steps_take_a_gcd_only_when_e_does_not_divide(monkeypatch):
 
 def test_field_reads_take_one_gcd_per_rational_entry(monkeypatch):
     """Reading `rules` or `reduce` of a generic system builds each HRat once:
-    `hpoly_gcd` runs at most once per entry whose Z[h] denominator is not a
-    constant, and never for the others.  An HRat wrapped in HRat(...) would be
-    reduced a second time."""
-    calls = [0]
-    hpoly_gcd = scalars.hpoly_gcd
+    while `Ring.to_field` turns rows into field values, `_zpoly_gcd` runs at
+    most once per entry whose Z[h] denominator is not a constant, and never for
+    the others.  An HRat wrapped in HRat(...) would be reduced a second time."""
+    calls, converting = [0], [False]
+    gcd_, to_field = scalars._zpoly_gcd, rewriting.ZPOLYS.to_field
 
     def counting(a, b):
-        calls[0] += 1
-        return hpoly_gcd(a, b)
+        calls[0] += converting[0]
+        return gcd_(a, b)
+
+    def marked_to_field(v, d):
+        converting[0] = True
+        try:
+            return to_field(v, d)
+        finally:
+            converting[0] = False
 
     def gcds_of(read):
         calls[0] = 0
         read()
         return calls[0]
 
-    monkeypatch.setattr(scalars, "hpoly_gcd", counting)  # HRat finds it in the scalars globals
+    monkeypatch.setattr(scalars, "_zpoly_gcd", counting)  # HRat finds it in the scalars globals
     rational = 0
     for pres in _hrat_corpus_presentations():
         system = build_rules(pres, "generic").complete(4)
+        system.ring = system.ring._replace(to_field=marked_to_field)
         entries = sum(len(row) for scale, row in system._rows.values() if len(scale) > 1)
         assert gcds_of(lambda: system.rules) <= entries
         words = product(range(1, pres.n + 1), repeat=3)
@@ -1074,6 +1082,16 @@ class TestTorsion:
         out = torsion_check(from_lie(sl2), NCPoly.word(3, (1,), HPoly.one()),
                             HPoly([1, -1]), 5)
         assert out.status == "refuted"
+
+    def test_element_outside_qh_rejected(self, strange_presentation):
+        element = NCPoly(3, {(1,): HRat(1, 1 + HPoly.h())})
+        with pytest.raises(InputError, match="coefficients in Q\\[h\\]"):
+            torsion_check(strange_presentation, element, 1 - HPoly.h(), 4)
+
+    def test_polynomial_hrat_element_reads_as_hpoly(self, strange_presentation):
+        T = NCPoly(3, {(3, 2, 1): -HPoly.one(), (1, 3, 2): HPoly.one()})
+        out = torsion_check(strange_presentation, T.with_hrat_coeffs(), HPoly([1, -1]), 5)
+        assert out.is_witness and out.element == T
 
     def test_degree_precondition(self, strange_presentation):
         T = NCPoly.word(3, (1, 2, 3, 1, 2), HPoly.one())

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import (hpoly_divmod_reference, hpoly_gcd_reference, monic_reference,
-                     rational_roots_reference)
+from oracles import (clear_hrat_denominators, hpoly_divmod_reference, hpoly_gcd_reference,
+                     monic_reference, rational_roots_reference)
 from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _zpoly_quotient, _zpoly_split, _ZPoly,
-                            clear_hrat_denominators, hpoly_gcd, rational_roots)
+                            hpoly_gcd, rational_roots)
 
 
 class TestHPolyBasics:

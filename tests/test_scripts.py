@@ -80,7 +80,8 @@ def test_ab_fixtures():
         + [f"hrat{k} generic" for k in range(7)]
         + [f"torsion:{label}" for label in ("witness-d5", "witness-d6", "unknown-h",
                                             "refuted-const", "refuted-sl2")]
-        + ["total h = a", "total generic", "total torsion"])
+        + [f"hrat{k} reads" for k in range(7)]
+        + ["total h = a", "total generic", "total torsion", "total reads"])
     assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
                for _, old, new, ratio in rows)
 
