@@ -1,4 +1,4 @@
-"""Compare the `hilbert`, `torsion_check` and generic read answers and CPU times of two pbwlab trees.
+"""Compare the `hilbert`, `torsion_check`, generic read and `certify` answers and CPU times of two pbwlab trees.
 
     python3 scripts/ab_fixtures.py OLD_SRC NEW_SRC [--repeats N]
 
@@ -14,13 +14,18 @@ K = 4; and the benchmark's five torsion probes, whose Q[h] membership is
 `module_membership`: strange with T at the factors 1 - h (degrees 5 and 6),
 h and 2, and sl2 with x1 at 1 - h.  The reads are `rules` of the generic
 system of each `hrat.json` potential after `complete(4)`, then `reduce_dict`
-of every rule tail: the paths that build `HRat` values.  For each fixture the
-script first asserts that both trees give the same answer (`dims`, `excluded`
-and `complete_through` of a Hilbert report, a torsion `status`, the values
-read), then takes the best of N thread-CPU timings per tree, alternating which
-tree runs first, and prints one line per fixture with both times and the ratio
-new / old, then the totals of the h = a, the generic, the torsion and the
-read fixtures.  In-process CPU timings interleaved this way are steadier on a
+of every rule tail: the paths that build `HRat` values.  The certificate
+fixtures are `certify` of the corpus Lie presentations (sl2, heisenberg,
+non_jacobi) on the lie d2, of the quadratic ones (quantum3, quantum_plane,
+poisson_not_special) on the quadratic d2 and of the `hrat.json` potentials on
+the default d2, each followed by `obstruction` when the certificate fails.
+For each fixture the script first asserts that both trees give the same answer
+(`dims`, `excluded` and `complete_through` of a Hilbert report, a torsion
+`status`, the values read, a verdict with its residues and obstruction), then
+takes the best of N thread-CPU timings per tree, alternating which tree runs
+first, and prints one line per fixture with both times and the ratio new /
+old, then the totals of the h = a, the generic, the torsion, the read and the
+certificate fixtures.  In-process CPU timings interleaved this way are steadier on a
 noisy machine than paired benchmark runs, but they time these calls alone.
 """
 
@@ -43,6 +48,9 @@ TORSION_PROBES = [("witness-d5", "strange", "T.json", "1-h", 5),
                   ("unknown-h", "strange", "T.json", "h", 5),
                   ("refuted-const", "strange", "T.json", "2", 5),
                   ("refuted-sl2", "sl2", "x1.json", "1-h", 5)]
+CERTIFY_CORPUS = [("sl2", "lie"), ("heisenberg", "lie"), ("non_jacobi", "lie"),
+                  ("quantum3", "quadratic"), ("quantum_plane", "quadratic"),
+                  ("poisson_not_special", "quadratic")]
 
 
 def load_package(src: str, name: str, into: Path):
@@ -77,6 +85,11 @@ def fixtures() -> list:
     for entry in corpus("hrat.json"):
         out.append((f"{entry['name']} reads", "reads", reads_runner,
                     ({"potential": entry["potential"]}, GENERIC_DEGREE)))
+    for name, d2 in CERTIFY_CORPUS:
+        out.append((f"{name} certify", "certify", certify_runner, (corpus(f"{name}.json"), d2)))
+    for entry in corpus("hrat.json"):
+        out.append((f"{entry['name']} certify", "certify", certify_runner,
+                    ({"potential": entry["potential"]}, "default")))
     return out
 
 
@@ -112,6 +125,23 @@ def reads_runner(pkg, doc, degree):
     return read, lambda r: {lead: tuple(map(plain, pair)) for lead, pair in r.items()}
 
 
+def certify_runner(pkg, doc, d2):
+    """`certify` of pkg on doc with that d2, then `obstruction` when the
+    certificate fails; the verdict, the residues and the obstruction as text."""
+    pres, cert = pkg.jsonio.presentation_from_json(doc), pkg.certificates
+
+    def run():
+        report = cert.certify(pres, d2)
+        return report, None if report.passed else cert.obstruction(pres, d2)
+
+    def answer(result):
+        report, obs = result
+        return (report.verdict, {tri: str(r) for tri, r in report.residues.items()},
+                obs and (obs.hbar_order, [(tri, str(g)) for tri, g in obs.generators]))
+
+    return run, answer
+
+
 def cpu_s(run) -> float:
     start = time.thread_time()
     run()
@@ -133,8 +163,9 @@ def main(argv=None) -> int:
             new = load_package(args.new_src, "pbwlab_new", Path(tmp))
         finally:
             sys.path.remove(tmp)
-        totals = {group: [0.0, 0.0] for group in ("h = a", "generic", "torsion", "reads")}
-        print(f"{'fixture':<22} {'old_ms':>9} {'new_ms':>9} {'new/old':>8}")
+        totals = {group: [0.0, 0.0]
+                  for group in ("h = a", "generic", "torsion", "reads", "certify")}
+        print(f"{'fixture':<28} {'old_ms':>9} {'new_ms':>9} {'new/old':>8}")
         for label, group, runner, inputs in fixtures():
             (run_old, answer), (run_new, _) = runner(old, *inputs), runner(new, *inputs)
             runs = [run_old, run_new]
@@ -147,10 +178,10 @@ def main(argv=None) -> int:
                     best[side] = min(best[side], cpu_s(runs[side]))
             totals[group][0] += best[0]
             totals[group][1] += best[1]
-            print(f"{label:<22} {best[0] * 1e3:>9.2f} {best[1] * 1e3:>9.2f} "
+            print(f"{label:<28} {best[0] * 1e3:>9.2f} {best[1] * 1e3:>9.2f} "
                   f"{best[1] / best[0]:>8.3f}")
         for group, (t_old, t_new) in totals.items():
-            print(f"{'total ' + group:<22} {t_old * 1e3:>9.2f} {t_new * 1e3:>9.2f} "
+            print(f"{'total ' + group:<28} {t_old * 1e3:>9.2f} {t_new * 1e3:>9.2f} "
                   f"{t_new / t_old:>8.3f}")
     return 0
 

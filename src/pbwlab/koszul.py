@@ -10,9 +10,9 @@ d1(xi_pq) from the ring row of the tails, over one integer denominator.  A
 d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v and
 a Z[h] numerator c over the triple's denominator.  `tail_entries` builds the
 default, Lie and quadratic entries from one formula over the tail tensor; a
-custom d2 enters through `ZPOLYS.row`.  `residues` sums every c * u d1(xi_pq) v
-of a triple in one dict and turns only its nonzero words into field values with
-`scalars._zpoly_to_field`.
+custom d2 enters through `ZPOLYS.row`.  `residues` packs each d1 row value and
+numerator c as an int at h = 2^bits (Kronecker substitution), sums every c * u
+d1(xi_pq) v of a triple in one dict and unpacks only its nonzero sums.
 
 `HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
 `d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
@@ -32,7 +32,8 @@ from typing import Dict, Iterable, Tuple
 from .errors import BadIndex, Inhomogeneous, PathMismatch
 from .freealg import NCPoly, WordPoly, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
-from .scalars import ZPOLYS, HPoly, _ZPoly, _zpoly_to_field, clear_denominators
+from .scalars import (ZPOLYS, HPoly, _pack_bits, _ZPoly, _zpoly_pack, _zpoly_to_field,
+                      _zpoly_unpack, clear_denominators)
 
 Symbol = Tuple
 Pair = Tuple[int, int]
@@ -148,10 +149,10 @@ def d1_from_presentation(p: Presentation) -> Dict[Pair, NCPoly]:
 
 
 # The entries of a d2 are {triple: (den, [(u, (p, q), v, c)])}: each term
-# c * u xi_pq v / den of its value, with x words u and v, p < q, and c and the
-# denominator den in Z[h].  No module-level typing alias over `_ZPoly`: typing
-# caches one per imported copy of the class, and in a process that imports
-# pbwlab afresh several times that raised the peak memory by about 5 %.
+# c * u xi_pq v / den of its value, with x words u and v, p < q, c in Z[h] and
+# den an integer (a constant `_ZPoly`).  No module-level typing alias over
+# `_ZPoly`: typing caches one per imported copy of the class, and in a process
+# that imports pbwlab afresh several times that raised the peak memory by about 5 %.
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -259,21 +260,24 @@ def d1_rows(p: Presentation) -> tuple:
 
 
 def residues(p: Presentation, d2: dict) -> Dict[Triple, NCPoly]:
-    """d1(d2(xi_ijk)) for every triple of d2: the sum of c * u d1(xi_pq) v over
-    its entries, in one dict of Z[h] numerators; only the nonzero words are
-    turned back into HPoly coefficients."""
+    """d1(d2(xi_ijk)) for every triple of d2: the sum of c * u d1(xi_pq) v over its
+    entries, one int multiply-add per term at h = 2^bits.  Distinct w in d1(xi_pq) give
+    distinct words u w v, so a sum takes one product per entry at most (`_pack_bits`)."""
     big, rows = d1_rows(p)
+    bits = _pack_bits([x for _, entries in d2.values() for _, _, _, c in entries for x in c],
+                      [x for row in rows.values() for r in row.values() for x in r])
+    packed = {pq: [(w, _zpoly_pack(r, bits)) for w, r in row.items()] for pq, row in rows.items()}
     out = {}
     for tri, (den, entries) in d2.items():
-        acc: Dict[Tuple[int, ...], _ZPoly] = {}
+        acc: Dict[Tuple[int, ...], int] = {}
         for u, pq, v, c in entries:
-            for w, r in rows[pq].items():
+            c = c[0] if len(c) == 1 else _zpoly_pack(c, bits)  # a constant packs as itself
+            for w, r in packed[pq]:
                 key = u + w + v
-                term = c * r
-                old = acc.get(key)
-                acc[key] = term if old is None else old + term
-        den = den * big
-        out[tri] = NCPoly.adopt(p.n, {w: _zpoly_to_field(num, den) for w, num in acc.items() if num})
+                acc[key] = acc.get(key, 0) + c * r
+        den = _ZPoly((den[0] * big[0],))  # two integers
+        out[tri] = NCPoly.adopt(p.n, {w: _zpoly_to_field(_zpoly_unpack(num, bits), den)
+                                      for w, num in acc.items() if num})
     return out
 
 

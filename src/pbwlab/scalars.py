@@ -286,6 +286,28 @@ class _ZPoly(tuple):
         return quo
 
 
+def _zpoly_pack(c: _ZPoly, bits: int) -> int:
+    """c at h = 2^bits (Kronecker substitution): sums and products pack to sums and products."""
+    acc = 0
+    for x in reversed(c):
+        acc = (acc << bits) + x
+    return acc
+
+
+def _zpoly_unpack(s: int, bits: int) -> _ZPoly:
+    """s read as balanced base-2^bits digits: exact when every |coefficient| < 2^(bits - 1)."""
+    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
+    while s:
+        out.append(((s + half) & mask) - half)
+        s = (s + half) >> bits
+    return _ZPoly(out)
+
+
+def _pack_bits(c_coeffs: list, r_coeffs: list) -> int:
+    """bits for sums of products c * r, one per c at most: |coefficients| <= max|r_j| * sum|c_i|."""
+    return (max(map(abs, r_coeffs), default=0) * sum(map(abs, c_coeffs))).bit_length() + 1
+
+
 def _zpoly_quotient(a: _ZPoly, b: _ZPoly) -> Optional[_ZPoly]:
     """a / b in Z[h] by synthetic division, None when b (of either sign) does not divide a."""
     if not b:
@@ -336,9 +358,10 @@ def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
 
 
 def _zpair(value) -> tuple:
-    """(n, d) over Z[h] with value = n / d and d of positive lead: the
-    numerator and denominator of a rational, HPoly (over 1) or HRat, both
-    cleared by one integer."""
+    """(n, d) over Z[h] with value = n / d and d of positive lead: a _ZPoly over 1;
+    a rational, HPoly (over 1) or HRat with both parts cleared by one integer."""
+    if isinstance(value, _ZPoly):
+        return value, _ZPoly((1,))
     if isinstance(value, HRat):
         num, den = value.num.coeffs, value.den.coeffs
     else:
@@ -608,10 +631,10 @@ def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:
 
 def _zpoly_to_field(v: _ZPoly, d: _ZPoly):
     """v / d as an HPoly when d is a constant (no gcd to take, and the Fractions
-    reduce as they are built), else as an HRat."""
+    reduce as they are built), else as an HRat built from the Z[h] pair."""
     if len(d) == 1:
         return HPoly([Fraction(c, d[0]) for c in v])
-    return HRat(HPoly(v), HPoly(d))
+    return HRat(v, d)
 
 
 def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:

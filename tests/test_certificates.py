@@ -23,7 +23,7 @@ from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic, lie_data_of, quad_data_of, validate)
 from pbwlab.cyclic import potential_to_presentation
 from pbwlab.rewriting import build_rules, member
-from pbwlab.scalars import HPoly, HRat
+from pbwlab.scalars import HPoly, HRat, _ZPoly
 
 
 class TestCertify:
@@ -418,6 +418,15 @@ def _outcome(fn):
 _NON_JACOBI4 = LieData(4, {(1, 2, 3): Fraction(1), (1, 3, 4): Fraction(-1, 2),
                            (2, 4, 1): Fraction(2), (3, 4, 3): Fraction(1)})
 _FAILING_QUAD = QuadData(3, {(1, 2, 1, 1): Fraction(1), (2, 3, 2, 2): Fraction(-2, 3)})
+_HUGE = 2 ** 80
+# h^4 terms of +-2^80 that cancel in the residue's x1 x2 x3 coefficient and
+# leave 2^80 h - 2^80 h^4 (x2 x1 x3) and -2^80 h^4 (x1 x3 x2) elsewhere
+_CANCELLING_D2 = {(1, 2, 3): d2_default(3)[(1, 2, 3)]
+                  + kterm(3, [("x", 1), ("xi2", 2, 3)], HPoly([0, 0, 0, 0, _HUGE]))
+                  + kterm(3, [("xi2", 1, 2), ("x", 3)], HPoly([0, _HUGE, 0, 0, -_HUGE]))}
+# -h + h^3 at x2 x1 x3: a negative low coefficient borrows from the packed h^3 digit
+_BORROWING_D2 = {(1, 2, 3): d2_default(3)[(1, 2, 3)]
+                 + kterm(3, [("x", 2), ("xi2", 1, 3)], HPoly([0, -1, 0, 1]))}
 
 
 @settings(max_examples=300, deadline=None)
@@ -428,6 +437,10 @@ _FAILING_QUAD = QuadData(3, {(1, 2, 1, 1): Fraction(1), (2, 3, 2, 2): Fraction(-
                {tri: v.scale(HPoly([1, Fraction(-1, 2), 3]))
                 for tri, v in d2_default(3).items()}))
 @example(case=(from_lie(_NON_JACOBI4), "custom", {(1, 2, 3): d2_default(4)[(1, 2, 3)]}))
+@example(case=(from_quadratic(_FAILING_QUAD), "custom", _CANCELLING_D2))
+@example(case=(from_lie(LieData(3, {(1, 2, 3): Fraction(1, 2)})), "custom",
+               _CANCELLING_D2))
+@example(case=(from_quadratic(_FAILING_QUAD), "custom", _BORROWING_D2))
 def test_residues_match_reference(case):
     """The Z[h] residues of certify equal the Leibniz expansion of the Koszul
     formulas over Q[h], with the same exception type and text where one is
@@ -444,6 +457,50 @@ def test_residues_match_reference(case):
             assert residue == jacobiator(lie_data_of(pres), *tri)
         elif choice == "quadratic":
             assert residue == quadratic_residue_bruteforce(quad_data_of(pres), *tri)
+
+
+def test_residue_sum_takes_no_zpoly_product_or_sum(monkeypatch, sl2, non_jacobi,
+                                                   multiparameter_quantum, strange_presentation):
+    """certify and obstruction add the residues up on packed ints: while
+    `koszul.residues` runs, `d1_rows` aside, no `_ZPoly` is multiplied or added."""
+    calls, inside, entered = Counter(), [False], [0]
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    def marked(flag, fn):
+        def wrapper(*args):
+            entered[0] += flag
+            outer, inside[0] = inside[0], flag
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = outer
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(_ZPoly, name, counting(name, getattr(_ZPoly, name)))
+    monkeypatch.setattr(certificates, "residues", marked(True, koszul.residues))
+    monkeypatch.setattr(koszul, "d1_rows", marked(False, koszul.d1_rows))
+    quad = QuadData(3, {(1, 2, 1, 1): Fraction(1, 2), (2, 3, 2, 2): Fraction(-2, 3)})
+    cases = [(from_lie(sl2), "lie", None), (from_lie(non_jacobi), "lie", None),
+             (from_quadratic(multiparameter_quantum), "quadratic", None),
+             (from_quadratic(quad), "quadratic", None), (from_quadratic(quad), "default", None),
+             (strange_presentation, "default", None),
+             (from_lie(non_jacobi), "custom", d2_lie(non_jacobi)),
+             (from_quadratic(_FAILING_QUAD), "custom", _CANCELLING_D2)]
+    for pres, choice, custom in cases:
+        certify(pres, choice, custom)
+        try:
+            obstruction(pres, choice, custom)
+        except NoObstruction:
+            pass
+    assert entered[0] == 2 * len(cases) and calls == Counter()
+    inside[0] = True  # the counters do see a product taken inside
+    assert _ZPoly((1, 2)) * _ZPoly((3,)) == _ZPoly((3, 6)) and calls == Counter(__mul__=1)
 
 
 def test_certify_calls_neither_apply_d_nor_relation(monkeypatch, sl2, non_jacobi,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (clear_hrat_denominators, hpoly_divmod_reference, hpoly_gcd_reference,
                      monic_reference, rational_roots_reference)
-from pbwlab.scalars import (HPoly, HRat, _zpoly_gcd, _zpoly_quotient, _zpoly_split, _ZPoly,
-                            hpoly_gcd, rational_roots)
+from pbwlab.scalars import (HPoly, HRat, _pack_bits, _zpoly_gcd, _zpoly_pack, _zpoly_quotient,
+                            _zpoly_split, _zpoly_to_field, _zpoly_unpack, _ZPoly, hpoly_gcd,
+                            rational_roots)
 
 
 class TestHPolyBasics:
@@ -336,6 +337,47 @@ def test_zpoly_ring_matches_hpoly(a, b, c):
                     dividend // divisor
             else:
                 _assert_zpoly(dividend // divisor, quo)
+
+
+_HUGE = 2 ** 80
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_zpolys(max_degree=4, bound=2 ** 90), _zpolys(max_degree=3, bound=7)),
+                max_size=6))
+@example([(_ZPoly((0, 0, 0, 0, _HUGE)), _ZPoly((1,))), (_ZPoly((0, 0, 0, 0, -_HUGE)), _ZPoly((1,)))])
+@example([(_ZPoly((-_HUGE, 0, 0, 0, _HUGE)), _ZPoly((1, 1)))])  # negative digits borrow
+@example([(_ZPoly((-1, 1)), _ZPoly((1,))), (_ZPoly((0, -1)), _ZPoly((1,)))])  # sums to -1
+@example([(_ZPoly((7,)), _ZPoly((7,)))])  # a coefficient right at the bound
+@example([(_ZPoly((-5,)), _ZPoly((7,))), (_ZPoly((-3,)), _ZPoly((7,)))])  # -56, at the bound
+def test_packed_sums_unpack_at_the_derived_bits(pairs):
+    """Packed at h = 2^bits, with bits from `_pack_bits`, every value and
+    the sum of the products of the pairs unpack exactly to their Z[h] values:
+    the sum digit by digit in balanced base 2^bits, borrows and cancellations
+    included.  A value alone takes bits with 2^(bits - 1) > max|c|."""
+    for c in (c for pair in pairs for c in pair):
+        bits = max(map(abs, c), default=0).bit_length() + 1
+        assert _zpoly_unpack(_zpoly_pack(c, bits), bits) == c
+    bits = _pack_bits([x for a, _ in pairs for x in a], [x for _, b in pairs for x in b])
+    total = sum((_zpoly_pack(a, bits) * _zpoly_pack(b, bits) for a, b in pairs), 0)
+    expected = _ZPoly()
+    for a, b in pairs:
+        expected = expected + a * b
+    got = _zpoly_unpack(total, bits)
+    assert type(got) is _ZPoly and got == expected and all(type(c) is int for c in got)
+
+
+@settings(max_examples=200)
+@given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(lambda d: len(d) > 1))
+@example(_ZPoly(), _ZPoly((1, 1)))
+@example(_ZPoly((2, 2)), _ZPoly((-4, 0, -4)))
+def test_zpoly_to_field_builds_the_canonical_hrat(v, d):
+    """v / d read from the Z[h] pair is the HRat of the HPoly pair: the same
+    canonical numerator and denominator, with Fraction coefficients."""
+    got, expected = _zpoly_to_field(v, d), HRat(HPoly(v), HPoly(d))
+    assert type(got) is HRat and (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs,
+                                                                      expected.den.coeffs)
+    assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
 
 
 @settings(max_examples=200)

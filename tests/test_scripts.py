@@ -81,7 +81,10 @@ def test_ab_fixtures():
         + [f"torsion:{label}" for label in ("witness-d5", "witness-d6", "unknown-h",
                                             "refuted-const", "refuted-sl2")]
         + [f"hrat{k} reads" for k in range(7)]
-        + ["total h = a", "total generic", "total torsion", "total reads"])
+        + [f"{name} certify" for name in ("sl2", "heisenberg", "non_jacobi", "quantum3",
+                                          "quantum_plane", "poisson_not_special")]
+        + [f"hrat{k} certify" for k in range(7)]
+        + ["total h = a", "total generic", "total torsion", "total reads", "total certify"])
     assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
                for _, old, new, ratio in rows)
 
