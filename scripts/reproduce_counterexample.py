@@ -12,7 +12,6 @@ from fractions import Fraction
 from pbwlab import (NCPoly, Potential, certify, hilbert, torsion_check,
                     potential_to_presentation, validate)
 from pbwlab.cyclic import CyclicWord
-from pbwlab.freealg import format_ncpoly
 from pbwlab.scalars import HPoly
 
 
@@ -21,7 +20,7 @@ def main():
     print(f"potential: {pot}")
     pres = potential_to_presentation(pot)
     for (i, j) in sorted(pres.phi):
-        print(f"  phi_{i}{j} = {format_ncpoly(pres.phi[(i, j)])}")
+        print(f"  phi_{i}{j} = {pres.phi[(i, j)]}")
 
     report = validate(pres)
     print(f"paths: {report.paths}")

@@ -21,7 +21,6 @@ from . import __version__
 from .certificates import D2_CHOICES, certify, obstruction
 from .cyclic import cyclic_derivative, potential_to_presentation
 from .errors import InputError, NoObstruction, OutOfRange, PbwError
-from .freealg import format_ncpoly
 from .jsonio import (certificate_report_to_json, custom_d2_from_json,
                      hilbert_report_to_json, ncpoly_from_json, ncpoly_to_json,
                      obstruction_report_to_json, parse_hpoly_string,
@@ -121,7 +120,7 @@ def _emit(args, config: dict, body: dict, text_lines) -> None:
 def _presentation_lines(p) -> list:
     lines = [f"presentation: n={p.n}"]
     for (i, j) in sorted(p.phi):
-        lines.append(f"  phi_{i}{j} = {format_ncpoly(p.phi[(i, j)])}")
+        lines.append(f"  phi_{i}{j} = {p.phi[(i, j)]}")
     if not p.phi:
         lines.append("  all phi = 0")
     return lines
@@ -152,7 +151,7 @@ def run(args) -> int:
         config["var"] = args.var
         derivative = cyclic_derivative(pot, args.var)
         result = {"var": args.var, "derivative": ncpoly_to_json(derivative)}
-        lines = [format_ncpoly(derivative)]
+        lines = [str(derivative)]
 
     elif sub == "from-potential":
         p = potential_to_presentation(pot)
@@ -179,7 +178,7 @@ def run(args) -> int:
             lines.append(f"certificate: {report.verdict} (d2 = {report.path})")
             lines.extend(f"  {claim}" for claim in report.claims)
             if not report.passed:
-                lines.extend(f"  residue {tri}: {format_ncpoly(res)}"
+                lines.extend(f"  residue {tri}: {res}"
                              for tri, res in sorted(report.residues.items()) if res)
         else:
             try:
@@ -190,7 +189,7 @@ def run(args) -> int:
             else:
                 result = obstruction_report_to_json(report)
                 lines.append(f"first obstruction at h-order {report.hbar_order}:")
-                lines.extend(f"  {tri}: {format_ncpoly(gen)}" for tri, gen in report.generators)
+                lines.extend(f"  {tri}: {gen}" for tri, gen in report.generators)
 
     elif sub in ("hilbert", "pbw"):
         a = None if args.generic else _parse_rational(args.at)

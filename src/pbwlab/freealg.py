@@ -234,10 +234,6 @@ def specialize(p: NCPoly, a) -> NCPoly:
     return p.map_coeffs(ev)
 
 
-def format_ncpoly(p: NCPoly) -> str:
-    return str(p)
-
-
 def _scaled_monomial(coeff, mono: str) -> str:
     text = str(coeff)
     if " " in text or ")/(" in text:  # a sum, or a quotient of polynomials

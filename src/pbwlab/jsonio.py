@@ -256,7 +256,11 @@ def custom_d2_from_json(doc, n: int) -> Dict[Triple, KoszulPoly]:
                 if isinstance(sym, dict) and "x" in sym:
                     symbols.append(("x", *_indices([sym["x"]], 1, n, "x index")))
                 elif isinstance(sym, dict) and "xi2" in sym:
-                    symbols.append(("xi2", *_indices(sym["xi2"], 2, n, "xi2 indices")))
+                    i, j = _indices(sym["xi2"], 2, n, "xi2 indices")
+                    if i == j:
+                        raise InputError(f"xi2 indices {sym['xi2']!r} repeat an index; "
+                                         f"xi_{i}{i} is zero by antisymmetry and is not stored")
+                    symbols.append(("xi2", i, j))
                 else:
                     raise InputError(f"bad symbol {sym!r}")
             value = value + kterm(n, symbols, hpoly_from_json(term["coeff"]))

@@ -44,6 +44,7 @@ the lengths that T's words have are row-reduced.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -238,7 +239,7 @@ class RewriteSystem:
             stack += self._retire(lead)
             self._set_rule(lead, scale, list(zip(map(words.get, current), row)))
             if queue is not None:
-                queue.push_overlaps(lead, self._rows)
+                queue.push_overlaps(lead)
 
     def _add_batch(self, polys: list, queue) -> list:
         """Install the polynomials (den, terms) together, in Z: one rule per pivot
@@ -262,7 +263,7 @@ class RewriteSystem:
             scale = row.pop(top)  # the pivot is primitive, with a positive entry at top
             carry += self._retire(lead)
             self._set_rule(lead, scale, [(words[col], -c) for col, c in row.items()])
-            queue.push_overlaps(lead, self._rows)
+            queue.push_overlaps(lead)
         return carry
 
     def _overlap(self, left: Word, right: Word, k: int) -> tuple:
@@ -282,8 +283,8 @@ class RewriteSystem:
     def complete(self, degree: int) -> "RewriteSystem":
         """Resolve all overlap ambiguities of overlap-word degree <= degree.
 
-        At h = a the pending ambiguities of the lowest overlap degree form one
-        batch, installed together by `_add_batch`; one at a time, each new rule
+        At h = a the lowest overlap degree's FIFO list of pending ambiguities is
+        one batch, installed together by `_add_batch`; one at a time, each new rule
         is reduced by the previous one and the coefficients swell (to tens of
         thousands of bits on the cascading fixture).  The order cannot change
         the result: over a field, the span of the final rules through the
@@ -302,11 +303,11 @@ class RewriteSystem:
         if self.degree_bound is not None and degree <= self.degree_bound:
             return self
         ring = self.ring
-        queue = _AmbiguityQueue(degree, self._resolved)
+        queue = _AmbiguityQueue(degree, self._resolved, self._rows)
         for lead in list(self._rows):
-            queue.push_overlaps(lead, self._rows)
+            queue.push_overlaps(lead)
         carry = []
-        while queue.heap or carry:
+        while queue.pending or carry:
             if ring is INTEGERS:
                 carry += [self._overlap(*amb) for amb in queue.pop_degree()]
                 carry = self._add_batch(carry, queue)
@@ -360,44 +361,36 @@ def _contains(word: Word, sub: Word) -> bool:
 
 
 class _AmbiguityQueue:
-    """Overlap ambiguities ordered by overlap-word degree, FIFO within a degree."""
+    """Pending overlap ambiguities of the rule map, one FIFO list per
+    overlap-word degree; the lowest degree's list is handed out first."""
 
-    def __init__(self, max_degree: int, seen: set):
-        self.max_degree = max_degree
-        self.heap: list = []
-        self.seen = seen
-        self._seq = 0
+    def __init__(self, max_degree: int, seen: set, rules: Dict[Word, tuple]):
+        self.max_degree, self.seen, self.rules = max_degree, seen, rules
+        self.pending: Dict[int, deque] = {}
 
-    def _push(self, left: Word, right: Word, k: int) -> None:
-        degree = len(left) + len(right) - k
-        if degree > self.max_degree:
-            return
-        key = (left, right, k)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        heapq.heappush(self.heap, (degree, self._seq, left, right, k))
-        self._seq += 1
-
-    def push_overlaps(self, lead: Word, rules: Dict[Word, tuple]) -> None:
-        for other in rules:
+    def push_overlaps(self, lead: Word) -> None:
+        """Queue each unseen overlap of lead with a rule, of degree <= max_degree."""
+        for other in self.rules:
             for left, right in ((lead, other), (other, lead)):
-                top = min(len(left), len(right)) - 1
-                for k in range(1, top + 1):
-                    if left[len(left) - k:] == right[:k]:
-                        self._push(left, right, k)
+                for k in range(1, min(len(left), len(right))):
+                    if left[-k:] != right[:k]:
+                        continue
+                    key, degree = (left, right, k), len(left) + len(right) - k
+                    if degree <= self.max_degree and key not in self.seen:
+                        self.seen.add(key)
+                        self.pending.setdefault(degree, deque()).append(key)
 
-    def pop(self):
-        _, _, left, right, k = heapq.heappop(self.heap)
-        return left, right, k
+    def pop(self) -> tuple:
+        """The first pending ambiguity of the lowest overlap degree."""
+        low = min(self.pending)
+        key = self.pending[low].popleft()
+        if not self.pending[low]:
+            del self.pending[low]
+        return key
 
-    def pop_degree(self) -> list:
-        """Every pending ambiguity of the lowest overlap degree, FIFO."""
-        degree = self.heap[0][0] if self.heap else None
-        batch = []
-        while self.heap and self.heap[0][0] == degree:
-            batch.append(self.pop())
-        return batch
+    def pop_degree(self) -> deque:
+        """Every pending ambiguity of the lowest overlap degree, FIFO; () when none is left."""
+        return self.pending.pop(min(self.pending, default=None), ())
 
 
 def build_rules(p: Presentation, mode: str, a: Optional[Fraction] = None) -> RewriteSystem:

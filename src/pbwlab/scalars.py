@@ -16,8 +16,8 @@ lowest terms with a gcd only when e does not divide c.
 A `Ring` is where a word polynomial's coefficients are computed as integer
 rows, primitive over one denominator: `INTEGERS` (Z, at h = a) and `ZPOLYS`
 (Z[h], over Q(h)).  A polynomial enters a ring only through `Ring.row`, which
-reads nothing of it but its `terms`; `_zpoly_to_field` is the one conversion
-of Z[h] values back to `HPoly` or `HRat`.
+reads nothing of it but its `terms`; `ZPOLYS.to_field` is `HRat`, read from
+the Z[h] pair, and `_zpoly_to_field` gives an `HPoly` for a constant denominator.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -644,6 +644,4 @@ def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
 
 INTEGERS = Ring(1, lambda c, e: (e // (g := gcd(c, e)), c // g), Fraction, _int_row,
                 _primitive_int_row, lambda lc, den: None)
-# HRat._coerce builds an HRat only around an HPoly: HRat(HRat) would reduce it again
-ZPOLYS = Ring(_ZPoly((1,)), _zpoly_split, lambda v, d: HRat._coerce(_zpoly_to_field(v, d)),
-              _zpoly_row, _primitive_zpoly_row, _inverted_zpoly)
+ZPOLYS = Ring(_ZPoly((1,)), _zpoly_split, HRat, _zpoly_row, _primitive_zpoly_row, _inverted_zpoly)

@@ -381,9 +381,13 @@ class TestMalformedInput:
         ([{"triple": [1, 2, 3], "value": [{"word": [{"x": 1}], "coeff": ["1"]}]},
           {"triple": [1, 2, 3], "value": _koszul_value()}],
          "mixed cohomological degrees [-1, 0]"),
+        ([{"triple": [1, 2, 3], "value": _koszul_value() + [
+            {"word": [{"x": 1}, {"xi2": [2, 2]}], "coeff": ["0", "5"]}]}],
+         "xi2 indices [2, 2] repeat an index"),
     ], ids=["no-triple", "no-word", "short-xi2", "xi2-out-of-range", "x-out-of-range",
             "triple-out-of-range", "degree-zero-value", "mixed-degree-value",
-            "unordered-triple-summed", "repeated-index", "repeated-triple-summed"])
+            "unordered-triple-summed", "repeated-index", "repeated-triple-summed",
+            "repeated-xi2-index"])
     def test_custom_differential(self, capsys, sl2_file, tmp_path, d2_doc, message):
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps(d2_doc))

@@ -487,10 +487,10 @@ def _sequential_complete(system, degree):
     h = a: in overlap degree order, FIFO within a degree, each overlap
     difference is built from the rows as they stand and installed through
     `_add_poly` before the next is built; then every tail is reduced."""
-    queue = rewriting._AmbiguityQueue(degree, system._resolved)
+    queue = rewriting._AmbiguityQueue(degree, system._resolved, system._rows)
     for lead in list(system._rows):
-        queue.push_overlaps(lead, system._rows)
-    while queue.heap:
+        queue.push_overlaps(lead)
+    while queue.pending:
         system._add_poly(*system._overlap(*queue.pop()), queue)
     for lead in list(system._rows):
         scale, row = system._drop_rule(lead)
@@ -500,6 +500,34 @@ def _sequential_complete(system, degree):
     system.degree_bound = degree
     system.complete_through = degree - 1
     return system
+
+
+def test_ambiguity_queue_schedule():
+    """Lowest overlap degree first, FIFO within a degree; a lower-degree push
+    made after popping has started comes out next; `pop_degree` hands over
+    exactly the lowest degree's ambiguities; a key already seen, or of a
+    degree above the bound, is never queued."""
+    rules, preseen = {}, ((2, 1), (1, 1, 1), 1)
+    queue = rewriting._AmbiguityQueue(5, {preseen}, rules)
+
+    def add(lead):
+        rules[lead] = None
+        queue.push_overlaps(lead)
+
+    a1, a2 = ((1, 1, 1), (1, 1, 1), 1), ((1, 1, 1), (1, 1, 1), 2)  # degrees 5 and 4
+    b3 = ((3, 3, 3, 3), (3, 3, 3, 3), 3)  # degree 5; its k = 1, 2 overlaps have degrees 7, 6
+    d1, d2, d3 = ((1, 1, 1), (1, 2), 1), ((1, 2), (2, 1), 1), ((2, 1), (1, 2), 1)  # 4, 3, 3
+    e1, e2, e3 = ((2, 2), (2, 1), 1), ((1, 2), (2, 2), 1), ((2, 2), (2, 2), 1)  # all degree 3
+    for lead in ((1, 1, 1), (3, 3, 3, 3), (2, 1), (1, 2)):
+        add(lead)
+    assert list(queue.pop_degree()) == [d2, d3]
+    assert queue.pop() == a2
+    add((2, 2))
+    assert queue.pop() == e1
+    assert list(queue.pop_degree()) == [e2, e3]
+    assert list(queue.pop_degree()) == [d1]
+    assert [queue.pop(), queue.pop()] == [a1, b3]
+    assert queue.seen == {preseen, a1, a2, b3, d1, d2, d3, e1, e2, e3}
 
 
 def _mixed_fixtures():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (clear_hrat_denominators, hpoly_divmod_reference, hpoly_gcd_reference,
                      monic_reference, rational_roots_reference)
-from pbwlab.scalars import (HPoly, HRat, _pack_bits, _zpoly_gcd, _zpoly_pack, _zpoly_quotient,
-                            _zpoly_split, _zpoly_to_field, _zpoly_unpack, _ZPoly, hpoly_gcd,
-                            rational_roots)
+from pbwlab.scalars import (ZPOLYS, HPoly, HRat, _pack_bits, _zpoly_gcd, _zpoly_pack,
+                            _zpoly_quotient, _zpoly_split, _zpoly_to_field, _zpoly_unpack,
+                            _ZPoly, hpoly_gcd, rational_roots)
 
 
 class TestHPolyBasics:
@@ -378,6 +378,16 @@ def test_zpoly_to_field_builds_the_canonical_hrat(v, d):
     assert type(got) is HRat and (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs,
                                                                       expected.den.coeffs)
     assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
+
+
+@settings(max_examples=200)
+@given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(bool))
+@example(_ZPoly((3, -6, 9)), _ZPoly((6,)))
+@example(_ZPoly((0, 5)), _ZPoly((-10,)))
+def test_zpolys_to_field_is_the_canonical_hrat(v, d):
+    """`ZPOLYS.to_field` reads v / d from the Z[h] pair, a constant d included:
+    the HRat of the HPoly pair, repr for repr."""
+    assert repr(ZPOLYS.to_field(v, d)) == repr(HRat(HPoly(v), HPoly(d)))
 
 
 @settings(max_examples=200)
