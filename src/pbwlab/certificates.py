@@ -22,11 +22,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BadTriple, NoObstruction, NotDeformation, PathMismatch
 from .freealg import NCPoly, hbar_coefficient
-from .koszul import (Differential, KoszulPoly, Triple, custom_entries,
-                     d1_from_presentation, d2_default, d2_view, residues, tail_entries, triples)
+from .koszul import (Differential, KoszulPoly, Triple, custom_entries, d1_from_presentation,
+                     d2_view, residues, tail_entries)
 from .presentations import (LieData, Presentation, QuadData, check_tails, lie_data_of,
                             quad_data_of)
-from .scalars import HPoly, HRat
+from .scalars import HPoly
 
 D2_CHOICES = ("default", "lie", "quadratic", "custom")
 
@@ -64,20 +64,7 @@ def _d2_entries(p: Presentation, d2_choice: str, custom_d2: Optional[Dict[Triple
     if d2_choice == "custom":
         if custom_d2 is None:
             raise PathMismatch("custom differential requested but none supplied")
-        expected = triples(p.n)
-        missing = [tri for tri in expected if tri not in custom_d2]
-        if missing:
-            raise PathMismatch(f"custom differential misses triples {missing}")
-        extra = [tri for tri in custom_d2 if tri not in expected]
-        if extra:
-            raise PathMismatch(f"custom differential has triples {extra} not i < j < k in 1..{p.n}")
-        for tri, value in custom_d2.items():
-            if value and value.degree() != -1:  # so each word carries one xi2 and no xi3
-                raise PathMismatch(f"custom value for {tri} is not of degree -1")
-        for tri, default in d2_default(p.n).items():  # h = 0 must give the Koszul d2
-            if any(not HRat(c).num.divisible_by_h() for c in (custom_d2[tri] - default).terms.values()):
-                raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
-        return custom_entries({tri: custom_d2[tri] for tri in expected})
+        return custom_entries(p.n, custom_d2)
     raise PathMismatch(f"unknown d2 choice {d2_choice!r}")
 
 

@@ -9,10 +9,10 @@ The check runs on Z[h], in the `scalars.ZPOLYS` ring.  `d1_rows` reads every
 d1(xi_pq) from the ring row of the tails, over one integer denominator.  A
 d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v and
 a Z[h] numerator c over the triple's denominator.  `tail_entries` builds the
-default, Lie and quadratic entries from one formula over the tail tensor; a
-custom d2 enters through `ZPOLYS.row`.  `residues` packs each d1 row value and
-numerator c as an int at h = 2^bits (Kronecker substitution), sums every c * u
-d1(xi_pq) v of a triple in one dict and unpacks only its nonzero sums.
+default, Lie and quadratic entries from one formula over the tail tensor, and
+`custom_entries` checks a custom d2 and reads it.  `residues` packs each d1 row
+value and numerator c as an int at h = 2^bits (Kronecker substitution), sums
+every c * u d1(xi_pq) v of a triple in one dict and unpacks only its nonzero sums.
 
 `HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
 `d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
@@ -203,20 +203,35 @@ def tail_entries(n: int, values: dict) -> dict:
     return out
 
 
-def custom_entries(d2: Dict[Triple, KoszulPoly]) -> dict:
-    """Entries of KoszulPoly values with exactly one xi2 symbol per word, through
-    the Z[h] ring row; each triple keeps its own denominator, which must be an
-    integer: an admissible d2 is polynomial in h."""
-    out = {}
+def custom_entries(n: int, d2: Dict[Triple, KoszulPoly]) -> dict:
+    """Entries of an admissible custom d2: values for exactly the triples i < j < k
+    of 1..n, of degree -1 (one xi2 and no xi3 per word), equal to the Koszul d2 at
+    h = 0 and polynomial in h.  Each value is read once, as its primitive Z[h] row
+    (D, {word: N}): h = 0 gives the Koszul d2 iff N(0) = d * D(0) for every word, d
+    its default coefficient or 0 (D(0) = 0 leaves some N(0) != 0, a pole at h = 0)."""
+    expected = triples(n)
+    missing = [tri for tri in expected if tri not in d2]
+    if missing:
+        raise PathMismatch(f"custom differential misses triples {missing}")
+    extra = [tri for tri in d2 if tri not in expected]
+    if extra:
+        raise PathMismatch(f"custom differential has triples {extra} not i < j < k in 1..{n}")
     for tri, value in d2.items():
-        den, row = ZPOLYS.row(value, None)
-        if len(den) > 1:
-            raise PathMismatch(f"custom value for {tri} has coefficients outside Q[h]")
+        if value and value.degree() != -1:
+            raise PathMismatch(f"custom value for {tri} is not of degree -1")
+    out = {}
+    for tri, default in _default_entries(n):
+        den, row = ZPOLYS.row(d2[tri], None)
         entries = []
         for word, num in row.items():
             pos = next(k for k, sym in enumerate(word) if sym[0] == "xi2")
             entries.append((tuple(sym[1] for sym in word[:pos]), word[pos][1:],
                             tuple(sym[1] for sym in word[pos + 1:]), num))
+        at_zero = {(u, pq, v): c[0] for u, pq, v, c in entries if c[0]}
+        if at_zero != {(u, pq, v): c[0] * den[0] for u, pq, v, c in default if den[0]}:
+            raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
+        if len(den) > 1:
+            raise PathMismatch(f"custom value for {tri} has coefficients outside Q[h]")
         out[tri] = (den, entries)
     return out
 

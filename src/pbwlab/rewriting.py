@@ -138,7 +138,7 @@ class RewriteSystem:
 
     def _reduce_ranked(self, den, terms: TermDict) -> tuple:
         """(den', {deglex rank: ring value}), the normal form of the word -> ring
-        value dict terms / den: the kernel behind `reduce_ring`.  Ranks come from
+        value dict terms / den: the kernel behind `reduce`.  Ranks come from
         a max-heap: a step only creates smaller words, so a popped rank without a
         rule match is final, and the leftmost, shortest match of the largest
         reducible word is rewritten first.  Rewriting c * w by lead -> row / E,
@@ -197,23 +197,17 @@ class RewriteSystem:
         """The ranked normal form of p: empty exactly when p reduces to zero."""
         return self._reduce_ranked(*self.ring.row(p, self.a))[1]
 
-    def reduce_ring(self, den, terms: TermDict) -> tuple:
-        """Normal form (den', terms') of terms / den, terms a word -> ring value dict,
-        left unchanged: `_reduce_ranked`, whose terms and rewrite cache are keyed by
-        deglex rank, with the ranks decoded; words exist only at its boundary and on misses."""
-        den, out = self._reduce_ranked(den, terms)
-        return den, {self._words[rank]: c for rank, c in out.items()}
-
     def reduce_dict(self, terms: TermDict) -> TermDict:
         """Normal form of a word -> field coefficient dict with respect to the
         current rules: `reduce` of the polynomial with those terms."""
         return self.reduce(NCPoly.adopt(self.n, terms)).terms
 
     def reduce(self, p: NCPoly) -> NCPoly:
-        """Normal form of p with respect to the current rules."""
+        """Normal form of p with respect to the current rules: `_reduce_ranked` of its
+        ring row, with the ranks decoded."""
         check_ambient(self.n, p)
-        den, out = self.reduce_ring(*self.ring.row(p, self.a))
-        return NCPoly.adopt(self.n, {w: self.ring.to_field(v, den) for w, v in out.items()})
+        den, out = self._reduce_ranked(*self.ring.row(p, self.a))
+        return NCPoly.adopt(self.n, {self._words[r]: self.ring.to_field(v, den) for r, v in out.items()})
 
     def _retire(self, lead: Word) -> list:
         """Drop the rules whose leads contain lead; their polynomials (den, terms)."""

@@ -230,19 +230,16 @@ def _content_split(coeffs) -> tuple:
 
 
 def _primitive_pseudo_rem(a: list, b: list) -> list:
-    """Primitive part of the pseudo-remainder of integer polynomials a by b.
+    """Primitive part of the pseudo-remainder of integer polynomials a by b, both
+    without trailing zeros.
 
     Plain remainder sequences over Q blow up coefficient sizes; scaling by the
     leading coefficient keeps everything in integers, and stripping the content
     each round keeps them small.
     """
-    a = list(a)
     lb = b[-1]
     db = len(b) - 1
     while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
         la = a[-1]
         shift = len(a) - 1 - db
         a = [c * lb for c in a]

@@ -8,7 +8,8 @@ rule rows but calls none of its methods, and `ring_row_reference` clears
 with `scalars.clear_denominators` and this module's `clear_hrat_denominators`,
 whose lcm is taken with Euclidean gcds in Fractions.
 `certify_residues_reference` builds d2 from the Koszul formulas one `kterm`
-at a time and applies d1 through `apply_d_reference`.
+at a time and applies d1 through `apply_d_reference`; `koszul_at_zero_reference`
+checks a custom value against those formulas at h = 0 on HRat coefficients.
 `quadratic_condition_reference` scans all n^6 tuples of the cyclic
 coefficient condition through `QuadData.alpha_at`; it shares only the
 `ConditionReport` record with `certificates`.  Disagreement with the library
@@ -355,11 +356,12 @@ def _first_lead_match(by_len, word):
 
 
 def reduce_ring_reference(system, den, terms):
-    """`RewriteSystem.reduce_ring` without its rewrite cache: the same deglex
-    max-heap and fraction-free steps, but the rule leads are scanned afresh for
-    every popped word and each tail word is spliced at every step, and each step
-    takes its gcd and divisions itself (`math.gcd`, `_zpoly_gcd` or
-    `hpoly_gcd_reference`, by the ring's unit) instead of calling `Ring.split`.
+    """The normal-form kernel `RewriteSystem._reduce_ranked`, keyed by words and
+    without its rewrite cache: the same deglex max-heap and fraction-free steps,
+    but the rule leads are scanned afresh for every popped word and each tail
+    word is spliced at every step, and each step takes its gcd and divisions
+    itself (`math.gcd`, `_zpoly_gcd` or `hpoly_gcd_reference`, by the ring's
+    unit) instead of calling `Ring.split`.
     terms is updated in place; returns (den', terms')."""
     one, n = system.ring.unit, system.n
     gcd_ = {int: gcd, _ZPoly: _zpoly_gcd, HPoly: hpoly_gcd_reference}[type(one)]
@@ -525,6 +527,14 @@ def d2_reference(n, data=None):
     return out
 
 
+def koszul_at_zero_reference(n, tri, value):
+    """Whether a custom value for tri is the Koszul d2 at h = 0, by the field rule:
+    every coefficient of value - `d2_reference(n)[tri]`, as an HRat in lowest
+    terms, has a numerator divisible by h (a pole at h = 0 has not)."""
+    difference = value - d2_reference(n)[tri]
+    return all(HRat(c).num.divisible_by_h() for c in difference.terms.values())
+
+
 def certify_residues_reference(pres: Presentation, d2_choice, custom_d2=None):
     """The residues d1(d2(xi_ijk)) of `certify`, through `apply_d_reference` on
     d1 read from `Presentation.relation`, with `certify`'s checks and error texts."""
@@ -560,6 +570,9 @@ def certify_residues_reference(pres: Presentation, d2_choice, custom_d2=None):
             for word in value.terms:
                 if [sym[0] for sym in word].count("xi2") != 1 or any(sym[0] == "xi3" for sym in word):
                     raise PathMismatch(f"custom value for {tri} must carry exactly one xi symbol per word")
+        for tri in triples(n):
+            if not koszul_at_zero_reference(n, tri, custom_d2[tri]):
+                raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
         d2 = custom_d2
     else:
         raise PathMismatch(f"unknown d2 choice {d2_choice!r}")

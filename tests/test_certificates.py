@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import (certify_residues_reference, quadratic_condition_reference,
-                     quadratic_residue_bruteforce)
+from oracles import (certify_residues_reference, koszul_at_zero_reference,
+                     quadratic_condition_reference, quadratic_residue_bruteforce)
 from pbwlab import certificates, koszul
 from pbwlab.certificates import (D2_CHOICES, build_differential, certify, check_poisson,
                                  check_quadratic_condition, jacobiator, obstruction)
@@ -457,6 +457,68 @@ def test_residues_match_reference(case):
             assert residue == jacobiator(lie_data_of(pres), *tri)
         elif choice == "quadratic":
             assert residue == quadratic_residue_bruteforce(quad_data_of(pres), *tri)
+
+
+@st.composite
+def _perturbed_d2(draw, n):
+    """(n, d2): the Koszul d2 plus terms c * u xi_st v, c one of h q, q, q / h and
+    q h^e / (k + h), k = 1 or 2, for a nonzero fraction q: h-divisible, constant,
+    a pole at h = 0 or a non-constant denominator.  Half of the terms sit on a
+    Koszul word, so a constant can cancel it; the others have at most one letter
+    on each side and often meet one another."""
+    h = HPoly.h()
+    d2 = d2_default(n)
+    for tri in d2:
+        koszul_words = sorted(d2[tri].terms)
+        for _ in range(draw(st.integers(0, 3))):
+            s, t = draw(st.permutations(range(1, n + 1)))[:2]
+            u, v = draw(sts.words(n, 1)), draw(sts.words(n, 1))
+            word = tuple(("x", i) for i in u) + (("xi2", s, t),) + tuple(("x", i) for i in v)
+            word = draw(st.sampled_from([word, draw(st.sampled_from(koszul_words))]))
+            q = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]))
+            rational = HRat(HPoly.h(draw(st.integers(0, 2))) * q, draw(st.sampled_from([1 + h, 2 + h])))
+            coeff = draw(st.sampled_from([h * q] * 3 + [HPoly.const(q), HRat(HPoly.const(q), h), rational]))
+            d2[tri] = d2[tri] + kterm(n, word, coeff)
+    return n, d2
+
+
+def _non_jacobi_cycle():
+    """xi12 r - r xi12 for r = d1(xi12) = x1x2 - x2x1 - h x1 of the non_jacobi
+    Lie data: d1 . d2 = 0, but it is not the Koszul d2 at h = 0."""
+    pres = from_lie(LieData(3, {(1, 2, 1): Fraction(1), (1, 3, 2): Fraction(1)}))
+    xi12, r = kterm(3, [("xi2", 1, 2)]), KoszulPoly.from_ncpoly(pres.relation(1, 2))
+    return {(1, 2, 3): xi12 * r - r * xi12}
+
+
+def _plus_x1_xi23(coeff):
+    d2 = d2_default(3)
+    d2[(1, 2, 3)] = d2[(1, 2, 3)] + kterm(3, [("x", 1), ("xi2", 2, 3)], coeff)
+    return d2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(_perturbed_d2))
+@example(case=(3, _non_jacobi_cycle()))
+@example(case=(3, _plus_x1_xi23(HRat(HPoly.h(), 1 + HPoly.h()))))
+@example(case=(3, _plus_x1_xi23(HRat(HPoly.one(), HPoly.h()))))
+@example(case=(3, _plus_x1_xi23(HPoly.const(-1))))
+def test_h0_check_on_entries_matches_field_rule(case):
+    """The h = 0 check of `custom_entries`, made on the integers N(0) and D(0) of
+    each primitive Z[h] row, against the field rule of `koszul_at_zero_reference`:
+    triple by triple in i < j < k order, certify raises the h = 0 PathMismatch
+    exactly when the reference rejects, and else the Q[h] one for a value with
+    a non-polynomial coefficient; an admissible d2 passes both checks."""
+    n, d2 = case
+    expected = None
+    for tri in triples(n):
+        if not koszul_at_zero_reference(n, tri, d2[tri]):
+            expected = (PathMismatch, f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
+        elif not all(HRat(c).is_polynomial() for c in d2[tri].terms.values()):
+            expected = (PathMismatch, f"custom value for {tri} has coefficients outside Q[h]")
+        if expected:
+            break
+    got = _outcome(lambda: certify(Presentation(n), "custom", d2))
+    assert got == expected if expected else isinstance(got, certificates.CertificateReport)
 
 
 def test_residue_sum_takes_no_zpoly_product_or_sum(monkeypatch, sl2, non_jacobi,

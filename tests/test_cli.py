@@ -155,6 +155,19 @@ class TestTorsion:
         assert code == 1
         assert "refuted" in out and "T itself lies in the ideal over Q[h]" in out
 
+    def test_unseparated_element_is_unknown(self, capsys, tmp_path):
+        """The relation (1 - h) (x1x2 - x2x1) vanishes at h = 1: no tried point
+        separates T = x1x2 - x2x1 from the ideal, so the probe exits 2."""
+        pres, elem = tmp_path / "pres.json", tmp_path / "T.json"
+        pres.write_text(json.dumps({"n": 2, "phi": [{"i": 1, "j": 2, "terms": [
+            {"word": [1, 2], "coeff": ["0", "1"]}, {"word": [2, 1], "coeff": ["0", "-1"]}]}]}))
+        elem.write_text(json.dumps([{"word": [1, 2], "coeff": ["1"]},
+                                    {"word": [2, 1], "coeff": ["-1"]}]))
+        code, out, _ = run_cli(capsys, "torsion", "--input", str(pres), "--element", str(elem),
+                               "--factor", "1-h", "--degree", "3")
+        assert code == 2
+        assert "unknown" in out and "could not be separated" in out
+
     @pytest.mark.parametrize("factor", ["1/0", "3/0*h"])
     def test_zero_denominator_factor_is_input_error(self, capsys, strange_file, tmp_path,
                                                     factor):
@@ -183,6 +196,13 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--input", sl2_file)
         assert code == 0
         assert "lie" in out
+
+    def test_zero_tails_echo(self, capsys, tmp_path):
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({"n": 2, "phi": []}))
+        code, out, _ = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 0
+        assert out.splitlines()[:2] == ["presentation: n=2", "  all phi = 0"]
 
     def test_invalid(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -327,10 +347,15 @@ class TestMalformedInput:
         ({"quadratic": {"n": 3, "alpha": 5}}, "quadratic tensor alpha must be a list, not 5"),
         ({"potential": {"n": 3, "terms": [{"cycle": ["1"], "coeff": ["1"]}]}},
          "bad cycle ['1']"),
+        ({"lie": {"n": 3, "c": [{"i": 2, "j": 2, "k": 1, "value": "1"}]}},
+         "c_22^1 is zero by antisymmetry and is not stored"),
+        ({"quadratic": {"n": 3, "alpha": [{"i": 3, "j": 3, "a": 1, "b": 2, "value": "1"}]}},
+         "alpha_33 is zero by antisymmetry and is not stored"),
     ], ids=["lie-missing-value", "lie-string-index", "quadratic-missing-b",
             "quadratic-float-index", "phi-string-index", "potential-string-n",
             "phi-zero-term-bad-letter", "phi-not-a-list", "potential-terms-not-a-list",
-            "lie-c-not-a-list", "quadratic-alpha-not-a-list", "potential-string-letter"])
+            "lie-c-not-a-list", "quadratic-alpha-not-a-list", "potential-string-letter",
+            "lie-repeated-index", "quadratic-repeated-index"])
     def test_constructor_entry(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -124,6 +124,10 @@ class TestNCPolyJson:
                                 {"word": [2, 1], "coeff": ["1"]}], 2)
         assert list(got.terms.items()) == [((2, 1), HPoly([2])), ((1,), HPoly([2]))]
 
+    def test_bare_int_and_string_coefficients(self):
+        got = ncpoly_from_json([{"word": [1], "coeff": 3}, {"word": [2, 1], "coeff": "-1/2"}], 2)
+        assert got == NCPoly(2, {(1,): HPoly([3]), (2, 1): HPoly([Fraction(-1, 2)])})
+
     @pytest.mark.parametrize("word", [[3], [0], [True], [1.0], "12", [[1]]])
     def test_rejects_bad_letters_even_with_zero_coefficient(self, word):
         for coeff in (["1"], ["0"]):
@@ -158,6 +162,17 @@ class TestPresentationJson:
         doc = {"lie": {"n": 3, "c": [{"i": 3, "j": 1, "k": 1, "value": "2"}]}}
         p = presentation_from_json(doc)
         assert p.phi_at(1, 3) == NCPoly(3, {(1,): -(HPoly.h() * 2)})
+
+    def test_reversed_phi_entry_is_the_swapped_one_negated(self):
+        terms = [{"word": [1, 2], "coeff": ["0", "1"]}, {"word": [], "coeff": ["0", "0", "3"]}]
+        reversed_entry = presentation_from_json({"n": 2, "phi": [{"i": 2, "j": 1, "terms": terms}]})
+        swapped = presentation_from_json({"n": 2, "phi": [{"i": 1, "j": 2, "terms": terms}]})
+        assert reversed_entry.phi == {(1, 2): -swapped.phi[(1, 2)]}
+
+    def test_quadratic_wrapper_flips_reversed_pairs(self):
+        doc = {"quadratic": {"n": 2, "alpha": [{"i": 2, "j": 1, "a": 1, "b": 2, "value": "3"}]}}
+        p = presentation_from_json(doc)
+        assert p.phi_at(1, 2) == NCPoly(2, {(1, 2): -(HPoly.h() * 3)})
 
     def test_quadratic_wrapper(self, quantum_plane):
         doc = {"quadratic": {"n": 2, "alpha": [

@@ -93,6 +93,15 @@ class TestComplete:
         with pytest.raises(InputError):
             build_rules(from_lie(sl2), "at", Fraction(1)).complete(1)
 
+    def test_complete_within_the_bound_returns_the_system_unchanged(self):
+        """complete(d) with d at most the bound already reached is the system
+        itself: no rule, bound or counter moves."""
+        system = build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(4)
+        state = (dict(system._rows), system.degree_bound, system.complete_through)
+        for degree in (4, 3, 2):
+            assert system.complete(degree) is system
+            assert (dict(system._rows), system.degree_bound, system.complete_through) == state
+
     def test_non_jacobi_collapse(self, non_jacobi):
         # x2 and then x1 are forced to zero at h=1
         sys = build_rules(from_lie(non_jacobi), "at", Fraction(1)).complete(4)
@@ -494,7 +503,8 @@ def _sequential_complete(system, degree):
         system._add_poly(*system._overlap(*queue.pop()), queue)
     for lead in list(system._rows):
         scale, row = system._drop_rule(lead)
-        den, tail = system.reduce_ring(scale, dict(row))
+        den, tail = system._reduce_ranked(scale, dict(row))
+        tail = _decoded(system, tail)
         scale, nums = system.ring.primitive_row(den, list(tail.values()))
         system._set_rule(lead, scale, list(zip(tail, nums)))
     system.degree_bound = degree
@@ -752,7 +762,8 @@ def test_rewrite_cache_is_cleared_when_the_rules_change(sl2):
 
     def normal_form():
         expected = reduce_ring_reference(system, 1, {word: 1})
-        got = system.reduce_ring(1, {word: 1})
+        den, out = system._reduce_ranked(1, {word: 1})
+        got = den, _decoded(system, out)
         assert got == expected and list(got[1]) == list(expected[1])
         return got
 
@@ -786,7 +797,7 @@ def test_rewrite_cache_is_cleared_when_the_rules_change(sl2):
 
 def _count_scans(monkeypatch):
     """A one-item list counting, from now on, the words whose rule leads
-    `reduce_ring` scans: the misses of its rewrite cache."""
+    the ranked normal-form kernel scans: the misses of its rewrite cache."""
     scans = [0]
     first_match = rewriting.RewriteSystem._first_match
 
@@ -819,15 +830,15 @@ def test_lead_scans_are_counted_once_per_word_and_rule_set(monkeypatch):
 
 def test_completion_and_member_stay_on_ranks(monkeypatch):
     """A batched completion at h = a and a member read never take a word-keyed
-    normal form: no call to `reduce_ring`, whose ranks must be decoded."""
+    normal form: no call to `reduce`, whose ranks must be decoded."""
     calls = [0]
-    reduce_ring = rewriting.RewriteSystem.reduce_ring
+    reduce = rewriting.RewriteSystem.reduce
 
-    def counting(self, den, terms):
+    def counting(self, p):
         calls[0] += 1
-        return reduce_ring(self, den, terms)
+        return reduce(self, p)
 
-    monkeypatch.setattr(rewriting.RewriteSystem, "reduce_ring", counting)
+    monkeypatch.setattr(rewriting.RewriteSystem, "reduce", counting)
     build_rules(_cascading_presentation(), "at", Fraction(1, 2)).complete(5)
     sl2 = build_rules(_corpus_presentation("sl2"), "at", Fraction(1, 2)).complete(6)
     poly = NCPoly(3, {(3, 2, 1): HPoly.one(), (2, 1, 3): HPoly([2]), (1, 1): HPoly.h()})
@@ -1018,7 +1029,7 @@ def test_field_reads_take_one_gcd_per_rational_entry(monkeypatch):
         assert gcds_of(lambda: system.rules) <= entries
         words = product(range(1, pres.n + 1), repeat=3)
         poly = NCPoly(pres.n, {w: HPoly([1, k]) for k, w in enumerate(words)})
-        den, out = system.reduce_ring(*system.ring.row(poly, None))
+        den, out = system._reduce_ranked(*system.ring.row(poly, None))
         entries_out = len(out) if len(den) > 1 else 0
         assert gcds_of(lambda: system.reduce(poly)) <= entries_out
         rational += entries + entries_out
@@ -1125,6 +1136,21 @@ class TestTorsion:
         T = NCPoly.word(3, (1, 2, 3, 1, 2), HPoly.one())
         with pytest.raises(OutOfRange):
             torsion_check(strange_presentation, T, HPoly([1, -1]), 5)
+
+    def test_unseparated_element_is_unknown(self):
+        """phi_12 = h (x1x2 - x2x1) makes the relation (1 - h) T, T = x1x2 - x2x1:
+        the root h = 1 of the factor is a bad specialization, skipped; T lies in
+        the ideal at every other point and over Q(h), but not over Q[h], so no
+        point refutes it and the outcome is unknown."""
+        h, one = HPoly.h(), HPoly.one()
+        pres = Presentation(2, {(1, 2): NCPoly(2, {(1, 2): h, (2, 1): -h})})
+        T = NCPoly(2, {(1, 2): one, (2, 1): -one})
+        with pytest.raises(BadSpecialization):
+            build_rules(pres, "at", Fraction(1))
+        out = torsion_check(pres, T, HPoly([1, -1]), 3)
+        assert out.status == "unknown"
+        assert out.detail == "T could not be separated from the ideal at any tried specialization"
+        assert out.refuting_specialization is None
 
 
 class TestConfluence:
