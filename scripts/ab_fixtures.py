@@ -1,4 +1,4 @@
-"""Compare the `hilbert`, `torsion_check`, generic read and `certify` answers and CPU times of two pbwlab trees.
+"""Compare the `hilbert`, `torsion_check`, generic read, `member` and `certify` answers and CPU times of two pbwlab trees.
 
     python3 scripts/ab_fixtures.py OLD_SRC NEW_SRC [--repeats N]
 
@@ -14,19 +14,26 @@ K = 4; and the benchmark's five torsion probes, whose Q[h] membership is
 `module_membership`: strange with T at the factors 1 - h (degrees 5 and 6),
 h and 2, and sl2 with x1 at 1 - h.  The reads are `rules` of the generic
 system of each `hrat.json` potential after `complete(4)`, then `reduce_dict`
-of every rule tail: the paths that build `HRat` values.  The certificate
+of every rule tail: the paths that build `HRat` values.  The member fixtures
+are the member batches of the oracle workload (`benchmarks/workloads.py`,
+seed 1): at h = a, strange at 1 completed to D = 5, sl2 at 1/2 to D = 6 and
+cascading at its first point to D = 4; generically, strange to D = 5 and sl2,
+heisenberg and quantum3 to D = 4, the strange batches ending with T.  Only
+their seeded `member` reads are timed, each timing on a system completed
+afresh outside it, as a benchmark round reads one.  The certificate
 fixtures are `certify` of the corpus Lie presentations (sl2, heisenberg,
 non_jacobi) on the lie d2, of the quadratic ones (quantum3, quantum_plane,
 poisson_not_special) on the quadratic d2 and of the `hrat.json` potentials on
 the default d2, each followed by `obstruction` when the certificate fails.
 For each fixture the script first asserts that both trees give the same answer
 (`dims`, `excluded` and `complete_through` of a Hilbert report, a torsion
-`status`, the values read, a verdict with its residues and obstruction), then
-takes the best of N thread-CPU timings per tree, alternating which tree runs
-first, and prints one line per fixture with both times and the ratio new /
-old, then the totals of the h = a, the generic, the torsion, the read and the
-certificate fixtures.  In-process CPU timings interleaved this way are steadier on a
-noisy machine than paired benchmark runs, but they time these calls alone.
+`status`, the values read, the member answers, a verdict with its residues
+and obstruction), then takes the best of N thread-CPU timings per tree,
+alternating which tree runs first, and prints one line per fixture with both
+times and the ratio new / old, then the totals of the h = a, the generic, the
+torsion, the read, the member and the certificate fixtures.  In-process CPU
+timings interleaved this way are steadier on a noisy machine than paired
+benchmark runs, but they time these calls alone.
 """
 
 import argparse
@@ -85,11 +92,36 @@ def fixtures() -> list:
     for entry in corpus("hrat.json"):
         out.append((f"{entry['name']} reads", "reads", reads_runner,
                     ({"potential": entry["potential"]}, GENERIC_DEGREE)))
+    out += member_fixtures()
     for name, d2 in CERTIFY_CORPUS:
         out.append((f"{name} certify", "certify", certify_runner, (corpus(f"{name}.json"), d2)))
     for entry in corpus("hrat.json"):
         out.append((f"{entry['name']} certify", "certify", certify_runner,
                     ({"potential": entry["potential"]}, "default")))
+    return out
+
+
+def member_fixtures() -> list:
+    """The oracle workload's member batches, in its order, with the documents
+    that it generates at seed 1."""
+    sys.path.insert(0, str(CORPUS.parent))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(CORPUS.parent))
+    # (document prefix, batch tag, presentation, point or None for generic,
+    # completion degree, the query the batch ends with)
+    batches = [("at/", 0, "strange", Fraction(1), 5, "T"), ("at/", 1, "sl2", Fraction(1, 2), 6, None),
+               ("at/", 2, "cascading", workloads.CASCADING_AT[0], 4, None),
+               ("generic/", 0, "strange", None, 5, "T.json"), ("generic/", 1, "sl2", None, 4, None),
+               ("generic/", 2, "heisenberg", None, 4, None),
+               ("generic/", 3, "quantum3", None, 4, None)]
+    docs, out = workloads.generate("oracle", 1).docs, []
+    for prefix, tag, name, a, degree, extra in batches:
+        polys = [doc for key, (_, doc) in docs.items() if key.startswith(f"{prefix}poly{tag}.")]
+        polys += [docs[prefix + extra][1]] if extra else []
+        out.append((f"{name}@{'generic' if a is None else a} member", "member", member_runner,
+                    (docs[prefix + name][1], a, degree, polys)))
     return out
 
 
@@ -125,6 +157,24 @@ def reads_runner(pkg, doc, degree):
     return read, lambda r: {lead: tuple(map(plain, pair)) for lead, pair in r.items()}
 
 
+def member_runner(pkg, doc, a, degree, polys):
+    """`member` of each query, parsed by pkg's own reader, against pkg's system
+    on doc at h = a (generic for None), which `fresh` completes through degree;
+    the answers."""
+    pres = pkg.jsonio.presentation_from_json(doc)
+    queries = [pkg.jsonio.ncpoly_from_json(poly["terms"], poly["n"]) for poly in polys]
+    slot = {}
+
+    def fresh():
+        mode = "generic" if a is None else "at"
+        slot["system"] = pkg.rewriting.build_rules(pres, mode, a).complete(degree)
+
+    def read():
+        return [pkg.rewriting.member(slot["system"], q) for q in queries]
+
+    return read, lambda r: r, fresh
+
+
 def certify_runner(pkg, doc, d2):
     """`certify` of pkg on doc with that d2, then `obstruction` when the
     certificate fails; the verdict, the residues and the obstruction as text."""
@@ -142,10 +192,15 @@ def certify_runner(pkg, doc, d2):
     return run, answer
 
 
-def cpu_s(run) -> float:
+def timed(side) -> tuple:
+    """(thread-CPU seconds, result) of one call of a runner's run; the runner's
+    fresh, when it returns one, runs first, untimed."""
+    run, _, *fresh = side
+    for make in fresh:
+        make()
     start = time.thread_time()
-    run()
-    return time.thread_time() - start
+    result = run()
+    return time.thread_time() - start, result
 
 
 def main(argv=None) -> int:
@@ -164,18 +219,17 @@ def main(argv=None) -> int:
         finally:
             sys.path.remove(tmp)
         totals = {group: [0.0, 0.0]
-                  for group in ("h = a", "generic", "torsion", "reads", "certify")}
+                  for group in ("h = a", "generic", "torsion", "reads", "member", "certify")}
         print(f"{'fixture':<28} {'old_ms':>9} {'new_ms':>9} {'new/old':>8}")
         for label, group, runner, inputs in fixtures():
-            (run_old, answer), (run_new, _) = runner(old, *inputs), runner(new, *inputs)
-            runs = [run_old, run_new]
-            seen = [answer(run()) for run in runs]
+            sides = [runner(old, *inputs), runner(new, *inputs)]  # (run, answer[, fresh])
+            seen = [side[1](timed(side)[1]) for side in sides]
             if seen[0] != seen[1]:
                 sys.exit(f"{label}: the reports differ: old {seen[0]}, new {seen[1]}")
             best = [float("inf"), float("inf")]
             for rep in range(args.repeats):  # alternate which tree runs first
                 for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                    best[side] = min(best[side], cpu_s(runs[side]))
+                    best[side] = min(best[side], timed(sides[side])[0])
             totals[group][0] += best[0]
             totals[group][1] += best[1]
             print(f"{label:<28} {best[0] * 1e3:>9.2f} {best[1] * 1e3:>9.2f} "

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Dict, Iterable
 
 from .errors import BadIndex, EmptyCycle, NotDeformation, UnsupportedArity
-from .freealg import (NCPoly, Word, WordPoly, add_terms, check_word, deglex_key,
-                      nc_mul)
+from .freealg import (NCPoly, Word, WordPoly, add_terms, as_hpoly, check_word,
+                      deglex_key, nc_mul)
 from .scalars import HPoly
 from . import presentations
 
@@ -66,8 +66,7 @@ class Potential(WordPoly):
     __slots__ = ()
 
     def __init__(self, n: int, terms: Dict[CyclicWord, HPoly] | None = None):
-        super().__init__(n, {cw: c if isinstance(c, HPoly) else HPoly.const(c)
-                             for cw, c in (terms or {}).items()})
+        super().__init__(n, {cw: as_hpoly(c) for cw, c in (terms or {}).items()})
 
     def _check_word(self, cw: CyclicWord) -> None:
         if cw.n != self.n:

@@ -15,7 +15,8 @@ polynomial: each term a coefficient times the `_mono` text of its word.
 
 An `NCPoly` is a `WordPoly` over generator indices in 1..n; the empty tuple
 is the unit monomial.  Coefficients may be `Fraction`, `HPoly`, or `HRat`; a
-single polynomial keeps one coefficient kind throughout.  Words are ordered
+single polynomial keeps one coefficient kind throughout, and `as_hpoly` is the
+one way into `HPoly`.  Words are ordered
 degree first, then lexicographically (deglex), which is also the
 deterministic order of `sorted_terms`.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Tuple
 
-from .errors import AmbientMismatch, BadIndex, UndefinedDegree
+from .errors import AmbientMismatch, BadIndex, InputError, UndefinedDegree
 from .scalars import HPoly, HRat, join_signed
 
 Word = Tuple[int, ...]
@@ -39,6 +40,16 @@ def check_word(word: Word, n: int) -> None:
     for letter in word:
         if not 1 <= letter <= n:
             raise BadIndex(f"letter {letter} outside 1..{n}")
+
+
+def as_hpoly(c) -> HPoly:
+    """c as an HPoly: a rational as a constant, an HRat with denominator 1 as its
+    numerator; any other HRat raises `InputError`."""
+    if isinstance(c, HRat):
+        if not c.is_polynomial():
+            raise InputError(f"coefficient {c} is not a polynomial in h")
+        return c.num
+    return c if isinstance(c, HPoly) else HPoly.const(c)
 
 
 def add_terms(terms: Dict[Hashable, object], pairs: Iterable) -> Dict[Hashable, object]:
@@ -204,7 +215,7 @@ class NCPoly(WordPoly):
         return NCPoly.adopt(self.n, {w: v for w, c in self.terms.items() if (v := fn(c))})
 
     def with_hpoly_coeffs(self) -> "NCPoly":
-        return self.map_coeffs(lambda c: c if isinstance(c, HPoly) else HPoly.const(c))
+        return self.map_coeffs(as_hpoly)
 
     def with_hrat_coeffs(self) -> "NCPoly":
         return self.map_coeffs(lambda c: c if isinstance(c, HRat) else HRat(c))
@@ -217,7 +228,7 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
 def hbar_coefficient(p: NCPoly, k: int) -> NCPoly:
     """Coefficient of hbar**k, as a polynomial with plain rational coefficients.
 
-    Requires `HPoly` (or rational, read as constant) coefficients.
+    Requires coefficients that `as_hpoly` reads: `HPoly`, rational, or `HRat` over 1.
     """
     if k < 0:
         raise ValueError("negative hbar power")

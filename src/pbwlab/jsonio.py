@@ -20,7 +20,7 @@ from .koszul import KoszulPoly, Triple, kterm, xi3
 from .presentations import (LieData, Presentation, QuadData, ValidationReport, from_lie,
                             from_quadratic)
 from .rewriting import HilbertReport, TorsionOutcome
-from .scalars import HPoly, format_rational
+from .scalars import HPoly
 
 
 # -- rationals and h-polynomials ----------------------------------------------
@@ -49,7 +49,7 @@ def hpoly_from_json(value) -> HPoly:
 
 
 def hpoly_to_json(p: HPoly) -> List[str]:
-    return [format_rational(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 # one signed term: [+-] [p[/q][*]] [h[^e]], with spaces allowed between symbols
@@ -108,12 +108,8 @@ def ncpoly_to_json(p: NCPoly) -> List[dict]:
 
 # -- potentials -----------------------------------------------------------------
 
-def potential_from_json(doc, n: int | None = None) -> Potential:
-    if isinstance(doc, dict):
-        n = doc.get("n", n)
-        terms = doc.get("terms", [])
-    else:
-        terms = doc
+def potential_from_json(doc) -> Potential:
+    n, terms = (doc.get("n"), doc.get("terms", [])) if isinstance(doc, dict) else (None, doc)
     terms = _entries(terms, "potential terms")
     if n is None:
         raise InputError("potential document needs a generator count n")
@@ -305,7 +301,7 @@ def hilbert_report_to_json(r: HilbertReport) -> dict:
     return {
         "n": r.n,
         "max_degree": r.max_degree,
-        "mode": r.mode if r.mode == "generic" else f"at {format_rational(r.a)}",
+        "mode": r.mode if r.mode == "generic" else f"at {Fraction(r.a)}",
         "dims": r.dims,
         "expected": r.expected,
         "verdicts": r.verdicts,
@@ -326,5 +322,5 @@ def torsion_outcome_to_json(r: TorsionOutcome) -> dict:
         "h_degree_bound": r.h_degree_bound,
         "refuting_specialization":
             None if r.refuting_specialization is None
-            else format_rational(r.refuting_specialization),
+            else str(r.refuting_specialization),
     }

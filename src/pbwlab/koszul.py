@@ -5,14 +5,15 @@ antisymmetric) and xi_ijk (degree -2, totally antisymmetric).  Only these
 three degrees are represented; this is exactly what the nilpotence check
 d1 . d2 = 0 consumes.
 
-The check runs on Z[h], in the `scalars.ZPOLYS` ring.  `d1_rows` reads every
-d1(xi_pq) from the ring row of the tails, over one integer denominator.  A
-d2 is a set of entries per triple: terms c * u xi_pq v with x words u, v and
-a Z[h] numerator c over the triple's denominator.  `tail_entries` builds the
+The check runs on Z[h], in the `scalars.ZPOLYS` ring.  A d2 is a set of
+entries per triple: terms c * u xi_pq v with x words u, v and a Z[h]
+numerator c over the triple's integer denominator.  `tail_entries` builds the
 default, Lie and quadratic entries from one formula over the tail tensor, and
-`custom_entries` checks a custom d2 and reads it.  `residues` packs each d1 row
-value and numerator c as an int at h = 2^bits (Kronecker substitution), sums
-every c * u d1(xi_pq) v of a triple in one dict and unpacks only its nonzero sums.
+`custom_entries` checks a custom d2 and reads it.  `residues` reads every
+d1(xi_pq) from the ring row of the tails, over one integer denominator, packing
+each value as it is read, and each numerator c, as an int at h = 2^bits
+(Kronecker substitution); it sums every c * u d1(xi_pq) v of a triple in one
+dict and unpacks only its nonzero sums.
 
 `HPoly` coefficients stay on the public side: `d2_default`, `d2_lie` and
 `d2_quadratic` are `KoszulPoly` views of the entries, and `apply_d` extends
@@ -32,7 +33,7 @@ from typing import Dict, Iterable, Tuple
 from .errors import BadIndex, Inhomogeneous, PathMismatch
 from .freealg import NCPoly, WordPoly, add_terms, nc_mul
 from .presentations import LieData, Presentation, QuadData
-from .scalars import (ZPOLYS, HPoly, _pack_bits, _ZPoly, _zpoly_pack, _zpoly_to_field,
+from .scalars import (ZPOLYS, HPoly, _hpoly_over, _pack_bits, _ZPoly, _zpoly_pack,
                       _zpoly_unpack, clear_denominators)
 
 Symbol = Tuple
@@ -150,7 +151,7 @@ def d1_from_presentation(p: Presentation) -> Dict[Pair, NCPoly]:
 
 # The entries of a d2 are {triple: (den, [(u, (p, q), v, c)])}: each term
 # c * u xi_pq v / den of its value, with x words u and v, p < q, c in Z[h] and
-# den an integer (a constant `_ZPoly`).  No module-level typing alias over
+# den a positive int.  No module-level typing alias over
 # `_ZPoly`: typing caches one per imported copy of the class, and in a process
 # that imports pbwlab afresh several times that raised the peak memory by about 5 %.
 
@@ -189,17 +190,17 @@ def tail_entries(n: int, values: dict) -> dict:
     for ((t, u, *w), _), num in zip(items, nums):
         table.setdefault((t, u), []).append((tuple(w), num))
         table.setdefault((u, t), []).append((tuple(w), -num))
-    scale = _ZPoly((den,))
     out = {}
-    for tri, default in _default_entries(n):
-        entries = list(default) if den == 1 else [(u, pq, v, c * scale) for u, pq, v, c in default]
+    for tri, default in _default_entries(n):  # the default numerators are constants
+        entries = list(default) if den == 1 else [(u, pq, v, _ZPoly((c[0] * den,)))
+                                                  for u, pq, v, c in default]
         for s, t, u in _slots(tri):
             for w, num in table.get((t, u), ()):
                 for pos, b in enumerate(w):
                     sign, sym = xi2(s, b)
                     if sign:
                         entries.append((w[:pos], sym[1:], w[pos + 1:], _ZPoly((0, sign * num))))
-        out[tri] = (scale, entries)
+        out[tri] = (den, entries)
     return out
 
 
@@ -232,7 +233,7 @@ def custom_entries(n: int, d2: Dict[Triple, KoszulPoly]) -> dict:
             raise PathMismatch(f"custom value for {tri} does not reduce to the Koszul d2 at h = 0")
         if len(den) > 1:
             raise PathMismatch(f"custom value for {tri} has coefficients outside Q[h]")
-        out[tri] = (den, entries)
+        out[tri] = (den[0], entries)
     return out
 
 
@@ -242,7 +243,7 @@ def d2_view(n: int, d2: dict) -> Dict[Triple, KoszulPoly]:
     for tri, (den, entries) in d2.items():
         out[tri] = KoszulPoly.adopt(n, add_terms({}, (
             (tuple(("x", i) for i in u) + (("xi2", *pq),) + tuple(("x", i) for i in v),
-             _zpoly_to_field(c, den)) for u, pq, v, c in entries)))
+             _hpoly_over(c, den)) for u, pq, v, c in entries)))
     return out
 
 
@@ -262,36 +263,30 @@ def d2_quadratic(data: QuadData) -> Dict[Triple, KoszulPoly]:
     return d2_view(data.n, tail_entries(data.n, data.alpha))
 
 
-def d1_rows(p: Presentation) -> tuple:
-    """(L, {pair: {word: num}}): d1(xi_pq) = x_p x_q - x_q x_p - phi_pq for p < q,
-    read from the Z[h] ring row of the tails, each numerator over the one
-    integer L (a constant `_ZPoly`)."""
-    big, nums = ZPOLYS.row(WordPoly.adopt(p.n, {(pair, w): c for pair, poly in p.phi.items()
-                                                for w, c in poly.terms.items()}), None)
-    rows = {(i, j): {(i, j): big, (j, i): -big} for i, j in p.pairs()}
-    for (pair, word), num in nums.items():
-        add_terms(rows[pair], ((word, -num),))
-    return big, rows
-
-
 def residues(p: Presentation, d2: dict) -> Dict[Triple, NCPoly]:
     """d1(d2(xi_ijk)) for every triple of d2: the sum of c * u d1(xi_pq) v over its
-    entries, one int multiply-add per term at h = 2^bits.  Distinct w in d1(xi_pq) give
-    distinct words u w v, so a sum takes one product per entry at most (`_pack_bits`)."""
-    big, rows = d1_rows(p)
+    entries, one int multiply-add per term at h = 2^bits.  d1(xi_pq) = x_p x_q -
+    x_q x_p - phi_pq is read packed from the Z[h] row (L, {(pair, w): N}) of the
+    tails: L at (p, q), -L at (q, p), minus each packed N, so every coefficient
+    of d1 is at most L + max|N|.  Distinct w in d1(xi_pq) give distinct words u w v,
+    so a sum takes one product per entry at most (`_pack_bits`)."""
+    big, nums = ZPOLYS.row(WordPoly.adopt(p.n, {(pair, w): c for pair, poly in p.phi.items()
+                                                for w, c in poly.terms.items()}), None)
+    big = big[0]
     bits = _pack_bits([x for _, entries in d2.values() for _, _, _, c in entries for x in c],
-                      [x for row in rows.values() for r in row.values() for x in r])
-    packed = {pq: [(w, _zpoly_pack(r, bits)) for w, r in row.items()] for pq, row in rows.items()}
+                      [big + max((abs(x) for num in nums.values() for x in num), default=0)])
+    packed = {(i, j): {(i, j): big, (j, i): -big} for i, j in p.pairs()}
+    for (pair, w), num in nums.items():
+        add_terms(packed[pair], ((w, -_zpoly_pack(num, bits)),))
     out = {}
     for tri, (den, entries) in d2.items():
         acc: Dict[Tuple[int, ...], int] = {}
         for u, pq, v, c in entries:
             c = c[0] if len(c) == 1 else _zpoly_pack(c, bits)  # a constant packs as itself
-            for w, r in packed[pq]:
+            for w, r in packed[pq].items():
                 key = u + w + v
                 acc[key] = acc.get(key, 0) + c * r
-        den = _ZPoly((den[0] * big[0],))  # two integers
-        out[tri] = NCPoly.adopt(p.n, {w: _zpoly_to_field(_zpoly_unpack(num, bits), den)
+        out[tri] = NCPoly.adopt(p.n, {w: _hpoly_over(_zpoly_unpack(num, bits), den * big)
                                       for w, num in acc.items() if num})
     return out
 

@@ -55,7 +55,7 @@ from .errors import (BadSpecialization, FiltrationUnbounded, InputError,
                      OutOfRange)
 from .freealg import NCPoly, Word, add_terms, check_ambient
 from .presentations import Presentation
-from .scalars import INTEGERS, ZPOLYS, HPoly, _zpoly_to_field, rational_roots
+from .scalars import INTEGERS, ZPOLYS, HPoly, _hpoly_over, rational_roots
 
 TermDict = Dict[Word, object]
 
@@ -609,7 +609,7 @@ def torsion_check(p: Presentation, element: NCPoly, factor: HPoly,
     den, row = ZPOLYS.row(element, None)
     if len(den) > 1:
         raise InputError("the probed element needs coefficients in Q[h]")
-    element = NCPoly.adopt(p.n, {w: _zpoly_to_field(v, den) for w, v in row.items()})
+    element = NCPoly.adopt(p.n, {w: _hpoly_over(v, den[0]) for w, v in row.items()})
     h_bound = (max(c.degree for c in element.terms.values()) + factor.degree + degree + 2)
 
     def outcome(status: str, detail: str, refuting=None) -> TorsionOutcome:

@@ -17,7 +17,8 @@ A `Ring` is where a word polynomial's coefficients are computed as integer
 rows, primitive over one denominator: `INTEGERS` (Z, at h = a) and `ZPOLYS`
 (Z[h], over Q(h)).  A polynomial enters a ring only through `Ring.row`, which
 reads nothing of it but its `terms`; `ZPOLYS.to_field` is `HRat`, read from
-the Z[h] pair, and `_zpoly_to_field` gives an `HPoly` for a constant denominator.
+the Z[h] pair.  Integers leave these kernels as an `HPoly` through one builder,
+`_hpoly_over(v, d)`, the integers v over the integer d.
 
 Everything here is immutable and hashable, so values can be shared freely.
 """
@@ -158,8 +159,7 @@ class HPoly(_Scalar):
         # convolve integer coefficient lists; one division per coefficient at the end
         da, xs = clear_denominators(self.coeffs)
         db, ys = clear_denominators(o.coeffs)
-        den = da * db
-        return HPoly([Fraction(v, den) for v in _convolve(xs, ys)])
+        return _hpoly_over(_convolve(xs, ys), da * db)
 
     __rmul__ = __mul__
 
@@ -176,8 +176,8 @@ class HPoly(_Scalar):
         ca, pa = _content_split(self.coeffs)
         cb, pb = _content_split(o.coeffs)
         scale = ca / cb
-        return HPoly([Fraction(c * scale.numerator, scale.denominator)
-                      for c in _ZPoly(pa) // _ZPoly(pb)])
+        return _hpoly_over([c * scale.numerator for c in _ZPoly(pa) // _ZPoly(pb)],
+                           scale.denominator)
 
     def eval(self, a) -> Fraction:
         """Evaluate at hbar = a by Horner's rule."""
@@ -201,6 +201,12 @@ class HPoly(_Scalar):
 
     def __str__(self):
         return format_hpoly(self)
+
+
+def _hpoly_over(v, d: int) -> HPoly:
+    """The HPoly of the integers v (lowest power first) over the integer d; the
+    Fractions reduce as they are built."""
+    return HPoly([Fraction(c, d) for c in v])
 
 
 def _convolve(xs, ys) -> list:
@@ -351,7 +357,7 @@ def _zpoly_split(c: _ZPoly, e: _ZPoly) -> tuple:
 def hpoly_gcd(a: HPoly, b: HPoly) -> HPoly:
     """Monic greatest common divisor: the monic form of `_zpoly_gcd`; gcd(0, 0) = 0."""
     g = _zpoly_gcd(*(_ZPoly(clear_denominators(p.coeffs)[1]) for p in (a, b)))
-    return HPoly([Fraction(c, g[-1]) for c in g]) if g else HPoly.zero()
+    return _hpoly_over(g, g[-1]) if g else HPoly.zero()
 
 
 def _zpair(value) -> tuple:
@@ -441,8 +447,8 @@ class HRat(_Scalar):
         elif len(den) > 1 and len(g := _zpoly_gcd(num, den)) > 1:  # no gcd for a constant den
             num, den = num // g, den // g
         lc = den[-1]
-        object.__setattr__(self, "num", HPoly([Fraction(v, lc) for v in num]))
-        object.__setattr__(self, "den", HPoly([Fraction(v, lc) for v in den]))
+        object.__setattr__(self, "num", _hpoly_over(num, lc))
+        object.__setattr__(self, "den", _hpoly_over(den, lc))
 
     @classmethod
     def zero(cls) -> "HRat":
@@ -517,13 +523,6 @@ class HRat(_Scalar):
         return f"({format_hpoly(self.num)})/({format_hpoly(self.den)})"
 
 
-def format_rational(q) -> str:
-    q = _as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_hpoly(p: HPoly) -> str:
     if not p:
         return "0"
@@ -532,7 +531,7 @@ def format_hpoly(p: HPoly) -> str:
         if c == 0:
             continue
         if k == 0:
-            term = format_rational(c)
+            term = str(c)
         else:
             base = "h" if k == 1 else f"h^{k}"
             if c == 1:
@@ -540,7 +539,7 @@ def format_hpoly(p: HPoly) -> str:
             elif c == -1:
                 term = f"-{base}"
             else:
-                term = f"{format_rational(c)}*{base}"
+                term = f"{c}*{base}"
         parts.append(term)
     return join_signed(parts)
 
@@ -626,17 +625,9 @@ def _primitive_zpoly_row(den: _ZPoly, values: list) -> tuple:
     return (den, values) if g == (1,) else (den // g, [v // g for v in values])
 
 
-def _zpoly_to_field(v: _ZPoly, d: _ZPoly):
-    """v / d as an HPoly when d is a constant (no gcd to take, and the Fractions
-    reduce as they are built), else as an HRat built from the Z[h] pair."""
-    if len(d) == 1:
-        return HPoly([Fraction(c, d[0]) for c in v])
-    return HRat(v, d)
-
-
 def _inverted_zpoly(lc: _ZPoly, den: _ZPoly) -> Optional[HPoly]:
     num = _zpoly_split(den, lc)[0] if len(den) > 1 else lc  # lc / gcd, up to sign
-    return HPoly([Fraction(c, num[-1]) for c in num]) if len(num) > 1 else None
+    return _hpoly_over(num, num[-1]) if len(num) > 1 else None
 
 
 INTEGERS = Ring(1, lambda c, e: (e // (g := gcd(c, e)), c // g), Fraction, _int_row,

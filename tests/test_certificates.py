@@ -521,10 +521,16 @@ def test_h0_check_on_entries_matches_field_rule(case):
     assert got == expected if expected else isinstance(got, certificates.CertificateReport)
 
 
+def test_unknown_d2_choice_is_a_path_mismatch(sl2):
+    with pytest.raises(PathMismatch) as err:
+        certify(from_lie(sl2), "bogus")
+    assert str(err.value) == "unknown d2 choice 'bogus'"
+
+
 def test_residue_sum_takes_no_zpoly_product_or_sum(monkeypatch, sl2, non_jacobi,
                                                    multiparameter_quantum, strange_presentation):
     """certify and obstruction add the residues up on packed ints: while
-    `koszul.residues` runs, `d1_rows` aside, no `_ZPoly` is multiplied or added."""
+    `koszul.residues` runs, d1 included, no `_ZPoly` is multiplied or added."""
     calls, inside, entered = Counter(), [False], [0]
 
     def counting(name, fn):
@@ -546,7 +552,6 @@ def test_residue_sum_takes_no_zpoly_product_or_sum(monkeypatch, sl2, non_jacobi,
     for name in ("__mul__", "__rmul__", "__add__"):
         monkeypatch.setattr(_ZPoly, name, counting(name, getattr(_ZPoly, name)))
     monkeypatch.setattr(certificates, "residues", marked(True, koszul.residues))
-    monkeypatch.setattr(koszul, "d1_rows", marked(False, koszul.d1_rows))
     quad = QuadData(3, {(1, 2, 1, 1): Fraction(1, 2), (2, 3, 2, 2): Fraction(-2, 3)})
     cases = [(from_lie(sl2), "lie", None), (from_lie(non_jacobi), "lie", None),
              (from_quadratic(multiparameter_quantum), "quadratic", None),

@@ -351,11 +351,21 @@ class TestMalformedInput:
          "c_22^1 is zero by antisymmetry and is not stored"),
         ({"quadratic": {"n": 3, "alpha": [{"i": 3, "j": 3, "a": 1, "b": 2, "value": "1"}]}},
          "alpha_33 is zero by antisymmetry and is not stored"),
+        ({"lie": {"n": 3, "c": [{"i": 1, "j": 2, "k": 3, "value": True}]}},
+         "not a rational: True"),
+        ({"n": 3, "phi": [{"i": 1, "j": 2, "terms": [{"word": [1], "coeff": 1.5}]}]},
+         "not an h-polynomial: 1.5"),
+        ({"n": 3, "phi": [{"i": 1, "j": 2, "terms": 5}]}, "an NCPoly must be a list of terms"),
+        ({"n": 3, "phi": [{"i": 1, "j": 2, "terms": [5]}]}, "bad NCPoly term: 5"),
+        ({"potential": {"n": 3, "terms": [5]}}, "bad potential term: 5"),
+        ({"n": 3, "phi": [{"i": 1, "j": 2}]}, "bad phi entry: {'i': 1, 'j': 2}"),
     ], ids=["lie-missing-value", "lie-string-index", "quadratic-missing-b",
             "quadratic-float-index", "phi-string-index", "potential-string-n",
             "phi-zero-term-bad-letter", "phi-not-a-list", "potential-terms-not-a-list",
             "lie-c-not-a-list", "quadratic-alpha-not-a-list", "potential-string-letter",
-            "lie-repeated-index", "quadratic-repeated-index"])
+            "lie-repeated-index", "quadratic-repeated-index", "lie-bool-value",
+            "phi-float-coeff", "phi-terms-not-a-list", "phi-term-not-an-object",
+            "potential-term-not-an-object", "phi-entry-missing-terms"])
     def test_constructor_entry(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -409,10 +419,12 @@ class TestMalformedInput:
         ([{"triple": [1, 2, 3], "value": _koszul_value() + [
             {"word": [{"x": 1}, {"xi2": [2, 2]}], "coeff": ["0", "5"]}]}],
          "xi2 indices [2, 2] repeat an index"),
+        ({"triple": [1, 2, 3], "value": []},
+         "a custom differential is a list of {triple, value} entries"),
     ], ids=["no-triple", "no-word", "short-xi2", "xi2-out-of-range", "x-out-of-range",
             "triple-out-of-range", "degree-zero-value", "mixed-degree-value",
             "unordered-triple-summed", "repeated-index", "repeated-triple-summed",
-            "repeated-xi2-index"])
+            "repeated-xi2-index", "not-a-list"])
     def test_custom_differential(self, capsys, sl2_file, tmp_path, d2_doc, message):
         d2_file = tmp_path / "d2.json"
         d2_file.write_text(json.dumps(d2_doc))

@@ -130,3 +130,17 @@ class TestPotentialOf:
         # phi_12 = h x1 alone admits no potential
         p = Presentation(3, {(1, 2): NCPoly(3, {(1,): HPoly.h()})})
         assert potential_of(p) is None
+
+
+def test_potential_rejects_a_cycle_over_another_n():
+    with pytest.raises(BadIndex) as err:
+        Potential(3, {CyclicWord(2, (1, 2)): HPoly.h()})
+    assert str(err.value) == "cycle over n=2 in a potential over n=3"
+
+
+@pytest.mark.parametrize("p", [
+    Presentation(2, {(1, 2): NCPoly(2, {(1,): HPoly.h()})}),
+    Presentation(3, {(1, 2): NCPoly(3, {(3,): HPoly.one()})}),
+], ids=["n-2", "candidate-not-h-divisible"])
+def test_no_potential(p):
+    assert potential_of(p) is None

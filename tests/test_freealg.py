@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from pbwlab.cyclic import CyclicWord, Potential
-from pbwlab.errors import AmbientMismatch, UndefinedDegree
+from pbwlab.errors import AmbientMismatch, BadIndex, UndefinedDegree
 from pbwlab.freealg import (NCPoly, commutator, hbar_coefficient, nc_mul,
                             specialize)
 from pbwlab.koszul import KoszulPoly, d2_default
@@ -210,3 +210,14 @@ def test_mixing_types_is_a_type_error():
             a + b
         with pytest.raises(TypeError):
             a * b
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: NCPoly(3, {(1, 4): HPoly.h()}), BadIndex, "letter 4 outside 1..3"),
+    (lambda: NCPoly.gen(3, 4), BadIndex, "generator 4 outside 1..3"),
+    (lambda: hbar_coefficient(x(3, 1), -1), ValueError, "negative hbar power"),
+], ids=["letter-outside", "generator-outside", "negative-hbar-power"])
+def test_rejections(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == text

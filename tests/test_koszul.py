@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import apply_d_reference
 from pbwlab.cyclic import Potential, potential_to_presentation
-from pbwlab.errors import Inhomogeneous
+from pbwlab.errors import BadIndex, Inhomogeneous
 from pbwlab.freealg import NCPoly, commutator
 from pbwlab.certificates import build_differential
 from pbwlab.koszul import (Differential, KoszulPoly, apply_d, d1_from_presentation,
@@ -375,3 +375,17 @@ def test_direct_differential_matches_build_differential(sl2, multiparameter_quan
             if word.degree() == -1:
                 expected = [(tuple(sym[1] for sym in w), c) for w, c in expected]
             assert list(got.terms.items()) == expected
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: kterm(3, [("x", 1), ("xi2", 1, 2)]).to_ncpoly(), Inhomogeneous,
+     "only a degree-0 element converts to an NCPoly"),
+    (lambda: kterm(3, [("y", 1)]), BadIndex, "unknown symbol kind 'y'"),
+    (lambda: apply_d(Differential(3, d1_from_presentation(Presentation(3)), d2_default(3)),
+                     kterm(3, [("x", 1)])),
+     Inhomogeneous, "apply_d expects degree -1 or -2, got 0"),
+], ids=["to-ncpoly-with-xi", "unknown-kind", "apply-d-degree-0"])
+def test_rejections(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == text

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from pbwlab.errors import BadIndex
+from pbwlab.errors import BadIndex, InputError
 from pbwlab.freealg import NCPoly, hbar_coefficient
 from pbwlab.presentations import (LieData, Presentation, QuadData, from_lie,
                                   from_quadratic, lie_data_of, quad_data_of,
                                   validate)
-from pbwlab.scalars import HPoly
+from pbwlab.scalars import HPoly, HRat
 
 
 class TestFromLie:
@@ -62,6 +62,23 @@ class TestAccessor:
     def test_rejects_badly_keyed_phi(self):
         with pytest.raises(BadIndex):
             Presentation(3, {(2, 1): NCPoly(3, {(1,): HPoly.h()})})
+
+    @pytest.mark.parametrize("n, phi, text", [
+        (0, None, "need at least one generator"),
+        (3, {(1, 2): NCPoly(2, {(1,): HPoly.h()})}, "phi_12 lives over n=2, presentation has n=3"),
+    ], ids=["no-generator", "tail-over-another-n"])
+    def test_rejects_bad_ambient(self, n, phi, text):
+        with pytest.raises(BadIndex) as err:
+            Presentation(n, phi)
+        assert str(err.value) == text
+
+    def test_polynomial_hrat_tail_is_its_numerator(self):
+        h = HPoly.h()
+        assert Presentation(3, {(1, 2): NCPoly(3, {(3,): HRat(h)})}) \
+            == Presentation(3, {(1, 2): NCPoly(3, {(3,): h})})
+        with pytest.raises(InputError) as err:
+            Presentation(3, {(1, 2): NCPoly(3, {(3,): HRat(1, h)})})
+        assert str(err.value) == "coefficient (1)/(h) is not a polynomial in h"
 
 
 class TestRelation:

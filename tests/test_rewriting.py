@@ -17,8 +17,8 @@ from oracles import (QH_RING, closure_pivots, hpoly_divmod_reference, hpoly_gcd_
 from pbwlab import rewriting, scalars
 from pbwlab.errors import (AmbientMismatch, BadSpecialization, FiltrationUnbounded,
                            InputError, OutOfRange, UndefinedDegree)
-from pbwlab.freealg import NCPoly, deglex_key, nc_mul, specialize
-from pbwlab.jsonio import ncpoly_from_json, presentation_from_json
+from pbwlab.freealg import NCPoly, deglex_key, hbar_coefficient, nc_mul, specialize
+from pbwlab.jsonio import ncpoly_from_json, ncpoly_to_json, presentation_from_json
 from pbwlab.presentations import LieData, Presentation, from_lie, from_quadratic
 from pbwlab.rewriting import (build_rules, hilbert, member, module_membership,
                               torsion_check)
@@ -1342,3 +1342,36 @@ class TestAmbientMismatch:
     def test_module_membership(self, strange_presentation):
         with pytest.raises(AmbientMismatch):
             module_membership(strange_presentation, NCPoly(2, {(2, 1): HPoly.one()}), 3, 2)
+
+
+_X1 = NCPoly(3, {(1,): HPoly.one()})
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda p: rewriting.RewriteSystem(p, "x"), "unknown field mode 'x'"),
+    (lambda p: build_rules(p, "at"), "specialization mode needs a value for h"),
+    (lambda p: hilbert(p, 0, a=1), "degree bound must be at least 1"),
+    (lambda p: hilbert(p, 2), "either a specialization value or generic mode is required"),
+    (lambda p: member(build_rules(p, "at", 1), _X1), "membership needs a completed system"),
+    (lambda p: torsion_check(p, NCPoly.zero(3), HPoly([1, -1]), 3),
+     "the probed element must be nonzero"),
+    (lambda p: torsion_check(p, _X1, HPoly.zero(), 3), "the scalar factor must be nonzero"),
+], ids=["unknown-mode", "at-without-value", "degree-zero", "neither-value-nor-generic",
+        "member-uncompleted", "torsion-zero-element", "torsion-zero-factor"])
+def test_bad_arguments_are_input_errors(sl2, call, text):
+    with pytest.raises(InputError) as err:
+        call(from_lie(sl2))
+    assert str(err.value) == text
+
+
+def test_generic_reduce_values_reenter_qh_consumers():
+    """Over Q(h), `reduce` answers with HRat values; with denominator 1 each is
+    read as its numerator by the JSON writer and by `hbar_coefficient`."""
+    system = build_rules(_corpus_presentation("sl2"), "generic").complete(4)
+    got = system.reduce(NCPoly(3, {(2, 1): Fraction(1)}))
+    assert got.terms == {(1, 2): HRat(1), (3,): HRat(-HPoly.h())}
+    assert all(type(c) is HRat for c in got.terms.values())
+    assert ncpoly_to_json(got) == [{"word": [3], "coeff": ["0", "-1"]},
+                                   {"word": [1, 2], "coeff": ["1"]}]
+    assert hbar_coefficient(got, 0) == NCPoly(3, {(1, 2): Fraction(1)})
+    assert hbar_coefficient(got, 1) == NCPoly(3, {(3,): Fraction(-1)})

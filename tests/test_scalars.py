@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (clear_hrat_denominators, hpoly_divmod_reference, hpoly_gcd_reference,
                      monic_reference, rational_roots_reference)
-from pbwlab.scalars import (ZPOLYS, HPoly, HRat, _pack_bits, _zpoly_gcd, _zpoly_pack,
-                            _zpoly_quotient, _zpoly_split, _zpoly_to_field, _zpoly_unpack,
+from pbwlab.scalars import (ZPOLYS, HPoly, HRat, _hpoly_over, _pack_bits, _zpoly_gcd,
+                            _zpoly_pack, _zpoly_quotient, _zpoly_split, _zpoly_unpack,
                             _ZPoly, hpoly_gcd, rational_roots)
 
 
@@ -368,26 +368,29 @@ def test_packed_sums_unpack_at_the_derived_bits(pairs):
 
 
 @settings(max_examples=200)
-@given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(lambda d: len(d) > 1))
-@example(_ZPoly(), _ZPoly((1, 1)))
-@example(_ZPoly((2, 2)), _ZPoly((-4, 0, -4)))
-def test_zpoly_to_field_builds_the_canonical_hrat(v, d):
-    """v / d read from the Z[h] pair is the HRat of the HPoly pair: the same
-    canonical numerator and denominator, with Fraction coefficients."""
-    got, expected = _zpoly_to_field(v, d), HRat(HPoly(v), HPoly(d))
-    assert type(got) is HRat and (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs,
-                                                                      expected.den.coeffs)
-    assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
+@given(_zpolys(), st.integers(-50, 50).filter(bool))
+@example(_ZPoly((3, -6, 9)), -6)
+@example(_ZPoly(), 7)
+def test_hpoly_over_is_the_quotient_by_an_integer(v, d):
+    """`_hpoly_over(v, d)` is the HPoly v / d: equal to the HRat of the pair, its
+    coefficients the reduced Fractions c / d, lowest power first."""
+    got = _hpoly_over(v, d)
+    assert type(got) is HPoly and got == HRat(HPoly(v), HPoly.const(d))
+    assert got.coeffs == tuple(Fraction(c, d) for c in v)
 
 
 @settings(max_examples=200)
 @given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(bool))
 @example(_ZPoly((3, -6, 9)), _ZPoly((6,)))
 @example(_ZPoly((0, 5)), _ZPoly((-10,)))
+@example(_ZPoly(), _ZPoly((1, 1)))
+@example(_ZPoly((2, 2)), _ZPoly((-4, 0, -4)))
 def test_zpolys_to_field_is_the_canonical_hrat(v, d):
     """`ZPOLYS.to_field` reads v / d from the Z[h] pair, a constant d included:
-    the HRat of the HPoly pair, repr for repr."""
-    assert repr(ZPOLYS.to_field(v, d)) == repr(HRat(HPoly(v), HPoly(d)))
+    the HRat of the HPoly pair, repr for repr, with Fraction coefficients."""
+    got = ZPOLYS.to_field(v, d)
+    assert type(got) is HRat and repr(got) == repr(HRat(HPoly(v), HPoly(d)))
+    assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
 
 
 @settings(max_examples=200)
@@ -439,3 +442,16 @@ def test_zpoly_split_matches_gcd_then_divide(c, e, q, shape, k):
             _assert_zpoly(got, quo)
     if shape == "divides":
         assert split == (_ZPoly((1,)), q)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: HPoly([1.5]), TypeError, "cannot interpret 1.5 as a rational"),
+    (lambda: setattr(HPoly.h(), "coeffs", ()), AttributeError, "HPoly is immutable"),
+    (lambda: HPoly.h(-1), ValueError, "negative hbar power"),
+    (lambda: HPoly.zero().lead, ZeroDivisionError, "zero polynomial has no leading coefficient"),
+    (lambda: HRat(1, HPoly([-1, 1])).eval(1), ZeroDivisionError, "denominator vanishes at h=1"),
+], ids=["float-coefficient", "immutable", "negative-power", "lead-of-zero", "pole"])
+def test_rejections(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == text

@@ -81,10 +81,14 @@ def test_ab_fixtures():
         + [f"torsion:{label}" for label in ("witness-d5", "witness-d6", "unknown-h",
                                             "refuted-const", "refuted-sl2")]
         + [f"hrat{k} reads" for k in range(7)]
+        + [f"{name} member" for name in ("strange@1", "sl2@1/2", "cascading@1/2", "strange@generic",
+                                         "sl2@generic", "heisenberg@generic",
+                                         "quantum3@generic")]
         + [f"{name} certify" for name in ("sl2", "heisenberg", "non_jacobi", "quantum3",
                                           "quantum_plane", "poisson_not_special")]
         + [f"hrat{k} certify" for k in range(7)]
-        + ["total h = a", "total generic", "total torsion", "total reads", "total certify"])
+        + ["total h = a", "total generic", "total torsion", "total reads", "total member",
+           "total certify"])
     assert all(float(old) > 0 and float(new) > 0 and float(ratio) > 0
                for _, old, new, ratio in rows)
 
