@@ -380,6 +380,20 @@ def test_hpoly_over_is_the_quotient_by_an_integer(v, d):
 
 
 @settings(max_examples=200)
+@given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(lambda d: len(d) > 1))
+@example(_ZPoly(), _ZPoly((1, 1)))
+@example(_ZPoly((2, 2)), _ZPoly((-4, 0, -4)))
+def test_zpoly_to_field_builds_the_canonical_hrat(v, d):
+    """v / d read from the Z[h] pair by `ZPOLYS.to_field`, d non-constant, is the
+    HRat of the HPoly pair: the same canonical numerator and denominator, with
+    Fraction coefficients."""
+    got, expected = ZPOLYS.to_field(v, d), HRat(HPoly(v), HPoly(d))
+    assert type(got) is HRat and (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs,
+                                                                      expected.den.coeffs)
+    assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
+
+
+@settings(max_examples=200)
 @given(_zpolys(), _zpolys(max_degree=3, bound=12).filter(bool))
 @example(_ZPoly((3, -6, 9)), _ZPoly((6,)))
 @example(_ZPoly((0, 5)), _ZPoly((-10,)))
